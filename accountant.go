@@ -112,6 +112,22 @@ func (a *Accountant) Charge(per Budget, releases int) error {
 	return a.charge(per.Epsilon, per.Delta, releases)
 }
 
+// Admit prices `releases` releases of `per` each against the current ledger
+// with the same rule Charge applies, but commits nothing: it returns the
+// error Charge would return right now. Serving layers that compute before
+// they charge call it first, so a request the ledger would refuse is
+// rejected before any noise is drawn. A concurrent charge can still take
+// the remaining budget between Admit and the charge that follows it.
+func (a *Accountant) Admit(per Budget, releases int) error {
+	if releases < 0 {
+		return fmt.Errorf("blowfish: negative release count %d: %w", releases, ErrInvalidOptions)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	_, err := a.admitLocked(per.Epsilon, per.Delta, releases)
+	return err
+}
+
 // BudgetContinual configures the continual-release (binary-tree counting)
 // budget mode: Epsilon and Delta bound any single record's lifetime privacy
 // loss across every release the stream ever makes, Epochs is the horizon the
@@ -279,9 +295,9 @@ func (a *Accountant) charge(eps, delta float64, n int) error {
 
 // admitLocked prices a charge of n releases of (eps, delta) each against
 // the current ledger without committing anything, returning the full
-// post-charge state. It is the single admission point shared by charge and
-// ChargeLogged, so the in-memory and write-ahead paths cannot drift. The
-// caller holds a.mu.
+// post-charge state. It is the single admission point shared by charge,
+// ChargeLogged and Admit, so the pre-check, the in-memory and the
+// write-ahead paths cannot drift. The caller holds a.mu.
 func (a *Accountant) admitLocked(eps, delta float64, n int) (AccountantState, error) {
 	// A non-finite charge would poison the running totals (NaN compares
 	// false against everything, silently disabling enforcement forever).

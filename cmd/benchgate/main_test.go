@@ -3,7 +3,9 @@ package main
 import (
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -113,6 +115,66 @@ func TestLoadReportOnCheckedInBaselines(t *testing.T) {
 		}
 		if len(res.Violations) != 0 {
 			t.Errorf("%s: self-comparison violations: %v", name, res.Violations)
+		}
+	}
+}
+
+// TestGateBaselinesInTree: every baseline the Makefile's gate target
+// compares against, and every one CI recovers with `git show HEAD:`, must
+// be in the tree and loadable — a missing one fails those gates at HEAD.
+// Inside a git work tree each must also be tracked, since an ignored file
+// can exist on disk yet be absent from every commit.
+func TestGateBaselinesInTree(t *testing.T) {
+	root := filepath.Join("..", "..")
+	sources := []struct {
+		file string
+		re   *regexp.Regexp
+	}{
+		{"Makefile", regexp.MustCompile(`-baseline\s+(\S+)`)},
+		{filepath.Join(".github", "workflows", "ci.yml"), regexp.MustCompile(`git show HEAD:(\S+)`)},
+	}
+	names := map[string]bool{}
+	for _, src := range sources {
+		raw, err := os.ReadFile(filepath.Join(root, src.file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		text := string(raw)
+		if src.file == "Makefile" {
+			// Only the gate target's recipe: from "gate:" to the next blank line.
+			i := strings.Index(text, "\ngate:")
+			if i < 0 {
+				t.Fatal("Makefile has no gate target")
+			}
+			text = text[i:]
+			if j := strings.Index(text, "\n\n"); j >= 0 {
+				text = text[:j]
+			}
+		}
+		found := src.re.FindAllStringSubmatch(text, -1)
+		if len(found) == 0 {
+			t.Fatalf("%s names no baselines; the pattern no longer matches", src.file)
+		}
+		for _, m := range found {
+			names[m[1]] = true
+		}
+	}
+	_, gitErr := exec.LookPath("git")
+	inWorkTree := gitErr == nil && exec.Command("git", "-C", root, "rev-parse", "--is-inside-work-tree").Run() == nil
+	for name := range names {
+		path := filepath.Join(root, name)
+		r, err := loadReport(path)
+		if err != nil {
+			t.Errorf("baseline %s: %v", name, err)
+			continue
+		}
+		if res := gate(r, r, 0, 1e-5); res.Compared == 0 {
+			t.Errorf("%s: no gateable cells — the gate over it would be empty", name)
+		}
+		if inWorkTree {
+			if out, err := exec.Command("git", "-C", root, "ls-files", "--error-unmatch", "--", name).CombinedOutput(); err != nil {
+				t.Errorf("baseline %s is not tracked by git (ignored?): %s", name, strings.TrimSpace(string(out)))
+			}
 		}
 	}
 }

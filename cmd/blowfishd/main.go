@@ -43,8 +43,9 @@
 //
 // With -data-dir serving is durable: tenant ledgers and stream state are
 // snapshotted into the directory, every budget charge and stream delta is
-// written ahead to a synced WAL, and a restart replays both before the
-// daemon reports ready on GET /readyz (503 "not_ready" during replay). A
+// committed to a synced WAL before it is acknowledged, and a restart
+// replays the log before the daemon reports ready on GET /readyz (503
+// "not_ready" during replay). A
 // disk failure flips the daemon read-only — updates get 503 "read_only",
 // answers keep serving with in-memory accounting — and SIGTERM drains
 // in-flight requests, writes a final snapshot, and exits cleanly:

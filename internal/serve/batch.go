@@ -24,9 +24,8 @@ type batchCall struct {
 // batcher coalesces concurrent answer requests for one cached plan into
 // AnswerBatch calls: the first pending request arms a window timer, and
 // everything that arrives before it fires (or before the batch hits max) is
-// released in one call over the shared worker pool. Requests admitted into a
-// batcher have already been charged against their tenant's accountant, so
-// the flush runs uncharged.
+// released in one call over the shared worker pool. The flush runs
+// uncharged: each caller charges its own tenant once its answers are back.
 type batcher struct {
 	window time.Duration
 	max    int
@@ -47,8 +46,8 @@ func newBatcher(window time.Duration, max int, run func([]*batchCall)) *batcher 
 // submit enqueues one release and waits for its result. The calling
 // goroutine flushes immediately when it fills the batch to max; otherwise a
 // timer goroutine flushes everything pending once the window elapses. A
-// canceled ctx abandons the wait — the release may still be computed (and
-// its admission charge stays spent), but the result is discarded.
+// canceled ctx abandons the wait — the release may still be computed, but
+// the result is discarded and nothing is charged for it.
 func (b *batcher) submit(ctx context.Context, x []float64, eps float64) batchResult {
 	c := &batchCall{x: x, eps: eps, done: make(chan batchResult, 1)}
 	b.mu.Lock()

@@ -165,20 +165,26 @@ func FuzzUpdateWire(f *testing.F) {
 }
 
 // FuzzWALReplayRecord throws arbitrary bytes at replayRecord, the function
-// Recover trusts with every line the WAL framing layer hands back — now
-// including the idem_answer/idem_update dedupe records. The contract: a
-// typed error or success, never a panic, whatever a corrupted log contains.
+// Recover trusts with every line the WAL framing layer hands back. The
+// contract: a typed error or success, never a panic, whatever a corrupted
+// log contains — and every op but "answer" and "update" is an error, so a
+// log holding records an older daemon wrote cannot replay half-understood.
 // (internal/persist's FuzzWALReplay covers the framing below this layer.)
 func FuzzWALReplayRecord(f *testing.F) {
 	planKey := `{\"policy\":{\"kind\":\"line\",\"k\":4},\"workload\":{\"kind\":\"histogram\"},\"options\":{}}`
+	f.Add([]byte(`{"op":"answer","tenant":"t","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.5,"delta":0},"releases":2}}`))
+	f.Add([]byte(`{"op":"update","tenant":"t","key":"` + planKey + `","created":true,"base":[1,2,3,4],"cells":[0],"values":[2]}`))
+	f.Add([]byte(`{"op":"update","tenant":"t","key":"` + planKey + `","cells":[0],"values":[2]}`))
+	f.Add([]byte(`{"op":"answer","tenant":"t","idem_key":"k1","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.25,"delta":0},"releases":1},"body":"eyJhIjoxfQ==","at":12345}`))
+	f.Add([]byte(`{"op":"update","tenant":"t","idem_key":"k2","key":"` + planKey + `","created":true,"base":[0,0,0,0],"cells":[1],"values":[3],"body":"eyJiIjoyfQ==","at":12346}`))
+	f.Add([]byte(`{"op":"answer","tenant":"t","idem_key":"k3"}`))
+	f.Add([]byte(`{"op":"update","tenant":"t","idem_key":"k4","key":"{nope"}`))
+	// One record of each op older daemons wrote; all must be rejected.
 	f.Add([]byte(`{"op":"charge","tenant":"t","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.5,"delta":0},"releases":2}}`))
 	f.Add([]byte(`{"op":"open","tenant":"t","key":"` + planKey + `","base":[1,2,3,4]}`))
 	f.Add([]byte(`{"op":"apply","tenant":"t","key":"` + planKey + `","cells":[0],"values":[2]}`))
-	f.Add([]byte(`{"op":"idem_answer","tenant":"t","idem_key":"k1","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.25,"delta":0},"releases":1},"status":200,"body":"eyJhIjoxfQ==","at":12345}`))
-	f.Add([]byte(`{"op":"idem_update","tenant":"t","idem_key":"k2","key":"` + planKey + `","created":true,"base":[0,0,0,0],"cells":[1],"values":[3],"status":200,"body":"eyJiIjoyfQ==","at":12346}`))
-	f.Add([]byte(`{"op":"idem_answer","tenant":"t","idem_key":"k3"}`))
-	f.Add([]byte(`{"op":"idem_update","tenant":"t","idem_key":"k4","key":"{nope"}`))
-	f.Add([]byte(`{"op":"charge","tenant":"t"}`))
+	f.Add([]byte(`{"op":"idem_answer","tenant":"t","idem_key":"k5","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.25,"delta":0},"releases":1},"status":200,"body":"eyJhIjoxfQ==","at":12345}`))
+	f.Add([]byte(`{"op":"idem_update","tenant":"t","idem_key":"k6","key":"` + planKey + `","created":true,"base":[0,0,0,0],"cells":[1],"values":[3],"status":200,"body":"eyJiIjoyfQ==","at":12346}`))
 	f.Add([]byte(`{"op":"warp"}`))
 	f.Add([]byte(`{nope`))
 	f.Add([]byte(``))
@@ -219,6 +225,9 @@ func FuzzWALReplayRecord(f *testing.F) {
 			}
 		}
 		// Success or typed error; a panic fails the fuzz run.
-		_ = srv.replayRecord(data)
+		err := srv.replayRecord(data)
+		if rec.Op != "answer" && rec.Op != "update" && err == nil {
+			t.Fatalf("record %q with op %q replayed without an error", data, rec.Op)
+		}
 	})
 }

@@ -3,14 +3,20 @@ package serve
 // This file is the durability layer of the daemon, active only when
 // Config.DataDir is set. It builds on internal/persist's generation Store:
 //
-//   - Every budget charge and every stream mutation writes its WAL record
-//     (under walMu, before the in-memory state changes) so the log order is
-//     the apply order.
-//   - Charge records carry the absolute post-charge ledger state, not the
+//   - Every mutation commits as exactly one WAL record, keyed or not: an
+//     answer through commitAnswer, an update through commitUpdate. The
+//     record is appended and synced under walMu, in the same section that
+//     changes memory, before the response is sent, so the log order is the
+//     apply order and nothing acknowledged is missing from the log.
+//   - Answer records carry the absolute post-charge ledger state, not the
 //     delta, so replay is an idempotent overwrite — re-applying the record a
 //     crash left as the last durable thing cannot double-spend.
+//   - A keyed record also carries the idempotency key and the exact
+//     response bytes, so a retry after a crash replays them instead of
+//     executing again.
 //   - Recover replays snapshot + WAL before the daemon reports ready, then
 //     immediately rotates a fresh snapshot so the replayed WAL is retired.
+//     A record whose op this version does not write fails Recover.
 //   - Any disk failure flips the daemon read-only: updates 503, answers keep
 //     serving with plain in-memory accounting. Privacy is never the casualty
 //     of a full disk — availability of the ingest path is.
@@ -36,27 +42,25 @@ var errStreamExists = errors.New("serve: stream already exists; base only seeds 
 
 // walRecord is one durable mutation. Op selects which fields are live:
 //
-//	"charge": Tenant, State   — absolute post-charge ledger (idempotent)
-//	"open":   Tenant, Key, Base — a stream was created (nil Base = zeros)
-//	"apply":  Tenant, Key, Cells, Values — a delta was folded in
-//	"idem_answer": Tenant, IdemKey, State, Status, Body, At — one
-//	    idempotent charged release: the post-charge ledger AND the exact
-//	    response bytes commit together, so a replayed request returns the
-//	    original bytes with zero additional spend.
-//	"idem_update": Tenant, IdemKey, Key, Created, Base, Cells, Values,
-//	    Status, Body, At — one idempotent stream mutation plus its
-//	    response, committed as a unit (exactly-once deltas).
+//	"answer": Tenant, State — one charged release; State is the absolute
+//	    post-charge ledger (replay overwrites, idempotently).
+//	"update": Tenant, Key, Created, Base, Cells, Values — one stream
+//	    mutation: Created opens the stream from Base (nil Base = zeros)
+//	    before the delta Cells/Values is folded in.
+//
+// Either op adds IdemKey, Body and At when the request carried an
+// Idempotency-Key: the exact 200 response bytes and when they were
+// recorded, so the dedupe table survives a crash.
 type walRecord struct {
 	Op      string                    `json:"op"`
 	Tenant  string                    `json:"tenant,omitempty"`
 	Key     string                    `json:"key,omitempty"`
 	State   *blowfish.AccountantState `json:"state,omitempty"`
+	Created bool                      `json:"created,omitempty"`
 	Base    []float64                 `json:"base,omitempty"`
 	Cells   []int                     `json:"cells,omitempty"`
 	Values  []float64                 `json:"values,omitempty"`
 	IdemKey string                    `json:"idem_key,omitempty"`
-	Created bool                      `json:"created,omitempty"`
-	Status  int                       `json:"status,omitempty"`
 	Body    []byte                    `json:"body,omitempty"`
 	At      int64                     `json:"at,omitempty"`
 }
@@ -72,7 +76,7 @@ type streamSnap struct {
 
 // idemSnap is one recorded idempotent response in a snapshot, so the
 // dedupe table survives WAL rotation: a retry arriving after a snapshot
-// retired the original idem_* record still replays the original bytes.
+// retired the original keyed record still replays the original bytes.
 type idemSnap struct {
 	Tenant string `json:"tenant"`
 	Key    string `json:"key"`
@@ -134,144 +138,74 @@ func (s *Server) appendWAL(rec walRecord) error {
 	return nil
 }
 
-// chargeTenant charges per against the tenant's ledger, write-ahead when
-// the daemon is durable: the post-charge state is appended and synced to
-// the WAL before the spend becomes observable (ChargeLogged holds the
-// ledger mutex across the commit). A disk failure flips the daemon
-// read-only and falls back to plain in-memory accounting so answers keep
-// serving — budget is still enforced, it just won't survive a crash, which
-// the operator learns from /readyz and the read_only stat.
-func (s *Server) chargeTenant(tenant string, acct *blowfish.Accountant, per blowfish.Budget) error {
-	if s.store == nil || s.readOnly.Load() {
-		return acct.Charge(per, 1)
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.readOnly.Load() {
-		return acct.Charge(per, 1)
-	}
-	err := acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
-		return s.appendWAL(walRecord{Op: "charge", Tenant: tenant, State: &st})
-	})
-	if errors.Is(err, errReadOnly) {
-		// The charge itself was admissible; only the disk failed. Degrade to
-		// in-memory accounting rather than refusing answers.
-		return acct.Charge(per, 1)
-	}
-	return err
-}
-
-// chargeRecorded is chargeTenant for idempotent requests: it prices the
-// charge, builds the canonical response body from the tentative post-charge
-// ledger, and commits charge + response as ONE WAL record under the ledger
-// mutex — extending ChargeLogged's ordering so the response bytes are
-// durable before the spend is observable. A crash therefore loses either
-// the whole request (the retry executes fresh, charged once) or nothing
-// (the retry replays the recorded bytes, charged zero more). On success the
-// in-memory dedupe table records the response and the exact bytes are
-// returned for the reply. A disk failure degrades like chargeTenant:
-// in-memory accounting plus an in-memory-only dedupe entry.
-func (s *Server) chargeRecorded(tenant, ikey string, acct *blowfish.Accountant, per blowfish.Budget, makeBody func(BudgetInfo) ([]byte, error)) ([]byte, error) {
+// commitAnswer is the one commit point of every release, keyed or not,
+// static or stream: it charges one release of per to the tenant's ledger and
+// returns the response bytes, built from this request's post-charge state.
+// On a durable daemon the post-charge state — plus the idempotency key and
+// the response bytes when the request is keyed — is appended as one
+// "answer" record inside ChargeLogged, which holds the ledger mutex across
+// the append, so the spend never becomes observable before it is durable.
+// A crash therefore loses either the whole release (a retry executes fresh,
+// charged once) or nothing (a keyed retry replays the recorded bytes), and
+// a response that cannot be encoded is never charged. A disk failure
+// degrades to in-memory accounting so answers keep serving: budget is
+// still enforced, it just won't survive a crash, which the operator learns
+// from /readyz and the read_only stat.
+func (s *Server) commitAnswer(tenant, ikey string, acct *blowfish.Accountant, per blowfish.Budget, resp AnswerResponse) ([]byte, error) {
 	var body []byte
 	build := func(st blowfish.AccountantState) error {
-		b, err := makeBody(budgetInfoFromState(st))
+		resp.Budget = budgetInfoFromState(st)
+		b, err := json.Marshal(resp)
 		if err != nil {
 			return invalid("unencodable response: %v", err)
 		}
 		body = b
 		return nil
 	}
-	commit := func(err error) ([]byte, error) {
-		if err != nil {
-			return nil, err
-		}
-		s.idem.finish(idemKey(tenant, ikey), http.StatusOK, body)
-		return body, nil
-	}
-	if s.store == nil || s.readOnly.Load() {
-		return commit(acct.ChargeLogged(per, 1, build))
-	}
-	s.walMu.Lock()
-	defer s.walMu.Unlock()
-	if s.readOnly.Load() {
-		return commit(acct.ChargeLogged(per, 1, build))
-	}
-	err := acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
-		if err := build(st); err != nil {
-			return err
-		}
-		return s.appendWAL(walRecord{
-			Op: "idem_answer", Tenant: tenant, IdemKey: ikey, State: &st,
-			Status: http.StatusOK, Body: body, At: s.idem.now().UnixNano(),
-		})
-	})
-	if errors.Is(err, errReadOnly) {
-		// The charge was admissible; only the disk failed. Keep serving with
-		// in-memory accounting and an in-memory dedupe entry.
-		return commit(acct.ChargeLogged(per, 1, build))
-	}
-	return commit(err)
-}
-
-// updateStream opens (if needed) and mutates the (tenant, plan) maintained
-// stream, write-ahead when the daemon is durable. The WAL records and the
-// in-memory mutations happen under walMu in the same order, so replay
-// reconstructs exactly the acknowledged state. Returns whether this request
-// created the stream.
-func (s *Server) updateStream(entry *planEntry, tenant, key string, req *UpdateRequest) (*blowfish.Stream, bool, error) {
-	pl := entry.plan
-	durable := s.store != nil
-	if durable {
+	logged := s.store != nil && !s.readOnly.Load()
+	if logged {
 		s.walMu.Lock()
 		defer s.walMu.Unlock()
-		if s.readOnly.Load() {
-			return nil, false, errReadOnly
-		}
+		logged = !s.readOnly.Load()
 	}
-	skey := streamKey(tenant, key)
-	st, cached, err := s.streams.getOrCreate(skey, func() (*blowfish.Stream, error) {
-		if durable {
-			if err := s.appendWAL(walRecord{Op: "open", Tenant: tenant, Key: key, Base: req.Base}); err != nil {
-				return nil, err
-			}
+	err := acct.ChargeLogged(per, 1, func(st blowfish.AccountantState) error {
+		if err := build(st); err != nil || !logged {
+			return err
 		}
-		base := req.Base
-		if base == nil {
-			base = make([]float64, pl.Domain())
+		rec := walRecord{Op: "answer", Tenant: tenant, State: &st}
+		if ikey != "" {
+			rec.IdemKey, rec.Body, rec.At = ikey, body, s.idem.now().UnixNano()
 		}
-		return entry.eng.OpenStream(pl, base, blowfish.StreamOptions{})
+		return s.appendWAL(rec)
 	})
+	if errors.Is(err, errReadOnly) {
+		// The charge was admissible; only the disk failed.
+		err = acct.ChargeLogged(per, 1, build)
+	}
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
-	if cached && req.Base != nil {
-		// A base on an existing stream would silently fork histories; make
-		// the caller drop it (or wait for the stream to age out of the LRU).
-		return nil, false, errStreamExists
+	if ikey != "" {
+		s.idem.finish(idemKey(tenant, ikey), http.StatusOK, body)
 	}
-	if len(req.Delta.Cells) > 0 {
-		if durable {
-			if err := s.appendWAL(walRecord{Op: "apply", Tenant: tenant, Key: key, Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
-				return nil, false, err
-			}
-		}
-		if err := st.Apply(blowfish.Delta{Cells: req.Delta.Cells, Values: req.Delta.Values}); err != nil {
-			return nil, false, err
-		}
-	}
-	return st, !cached, nil
+	return body, nil
 }
 
-// updateStreamIdem is updateStream for idempotent requests: the open, the
-// delta, and the canonical response commit as ONE "idem_update" WAL record,
-// appended after the in-memory apply (the response body carries post-apply
-// counters) but before the reply is visible, all under walMu. A crash before
-// the append loses both the record and the in-memory state together, so the
-// retry re-executes — still exactly once. A disk failure after the apply
-// leaves the delta in memory but unacknowledged; the daemon goes read-only
-// and rejects further updates, so no divergent history is ever acknowledged.
-func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash string, req *UpdateRequest) ([]byte, error) {
-	pl := entry.plan
+// commitUpdate is the one commit point of every stream mutation: it opens
+// the (tenant, plan) stream if needed, folds the delta in, and on a durable
+// daemon appends one "update" record, all under walMu so the log order is
+// the apply order. The only branch is when the record is appended:
+//
+//   - unkeyed, before the stream changes: a failed append leaves memory as
+//     it was, and the request fails 503 read_only;
+//   - keyed, after the apply, because the recorded response carries the
+//     post-apply refresh counters. A failed append then leaves the delta in
+//     memory but unacknowledged; the daemon is read-only from that moment
+//     and refuses every later update, so no divergent history is ever
+//     acknowledged, and a crash loses record and memory together.
+//
+// A durable daemon that is already read-only refuses updates outright.
+func (s *Server) commitUpdate(entry *planEntry, tenant, key, ikey, hash string, req *UpdateRequest) ([]byte, error) {
 	durable := s.store != nil
 	if durable {
 		s.walMu.Lock()
@@ -281,6 +215,22 @@ func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash stri
 		}
 	}
 	skey := streamKey(tenant, key)
+	// Only mutations create streams, and on a durable daemon they all run
+	// under walMu, so this check still holds when the record is appended.
+	_, exists := s.streams.get(skey)
+	if exists && req.Base != nil {
+		// A base on an existing stream would silently fork histories; make
+		// the caller drop it (or wait for the stream to age out of the LRU).
+		return nil, errStreamExists
+	}
+	rec := walRecord{Op: "update", Tenant: tenant, Key: key, Created: !exists,
+		Base: req.Base, Cells: req.Delta.Cells, Values: req.Delta.Values}
+	if durable && ikey == "" {
+		if err := s.appendWAL(rec); err != nil {
+			return nil, err
+		}
+	}
+	pl := entry.plan
 	st, cached, err := s.streams.getOrCreate(skey, func() (*blowfish.Stream, error) {
 		base := req.Base
 		if base == nil {
@@ -292,6 +242,7 @@ func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash stri
 		return nil, err
 	}
 	if cached && req.Base != nil {
+		// An in-memory daemon's concurrent update created it first.
 		return nil, errStreamExists
 	}
 	if len(req.Delta.Cells) > 0 {
@@ -310,12 +261,12 @@ func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash stri
 	if err != nil {
 		return nil, invalid("unencodable response: %v", err)
 	}
+	if ikey == "" {
+		return body, nil
+	}
 	if durable {
-		if err := s.appendWAL(walRecord{
-			Op: "idem_update", Tenant: tenant, IdemKey: ikey, Key: key,
-			Created: !cached, Base: req.Base, Cells: req.Delta.Cells, Values: req.Delta.Values,
-			Status: http.StatusOK, Body: body, At: s.idem.now().UnixNano(),
-		}); err != nil {
+		rec.IdemKey, rec.Body, rec.At = ikey, body, s.idem.now().UnixNano()
+		if err := s.appendWAL(rec); err != nil {
 			return nil, err
 		}
 	}
@@ -323,16 +274,31 @@ func (s *Server) updateStreamIdem(entry *planEntry, tenant, key, ikey, hash stri
 	return body, nil
 }
 
-// restoreStream rebuilds one maintained stream from its snapshot image and
-// installs it in the cache, re-preparing the plan from the parseable key.
-func (s *Server) restoreStream(tenant, key string, st *blowfish.StreamState) error {
+// planFromKey re-prepares the plan a stored plan key names. The key is
+// derived once from the parsed spec, so a stored key that is valid JSON but
+// not canonical still resolves to the key live requests use.
+func (s *Server) planFromKey(stored string) (*planEntry, string, error) {
 	var spec planKeySpec
-	if err := json.Unmarshal([]byte(key), &spec); err != nil {
-		return fmt.Errorf("serve: unparseable plan key %q: %w", key, err)
+	if err := json.Unmarshal([]byte(stored), &spec); err != nil {
+		return nil, "", fmt.Errorf("serve: unparseable plan key %q: %w", stored, err)
 	}
-	entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
+	key, _, err := planKey(spec.Policy, spec.Workload, spec.Options)
 	if err != nil {
-		return fmt.Errorf("serve: re-preparing plan for recovery: %w", err)
+		return nil, "", err
+	}
+	entry, err := s.plan(key, spec.Policy, spec.Workload, spec.Options)
+	if err != nil {
+		return nil, "", fmt.Errorf("serve: re-preparing plan for recovery: %w", err)
+	}
+	return entry, key, nil
+}
+
+// restoreStream rebuilds one maintained stream from its snapshot image and
+// installs it in the cache.
+func (s *Server) restoreStream(tenant, key string, st *blowfish.StreamState) error {
+	entry, exactKey, err := s.planFromKey(key)
+	if err != nil {
+		return err
 	}
 	stream, err := entry.eng.RestoreStream(entry.plan, st)
 	if err != nil {
@@ -344,67 +310,27 @@ func (s *Server) restoreStream(tenant, key string, st *blowfish.StreamState) err
 
 // replayRecord applies one WAL record during Recover. Replay failures are
 // startup failures: a record the daemon acknowledged must apply, and one
-// that doesn't is corruption the operator has to see.
+// that doesn't is corruption the operator has to see. So is an op this
+// version does not write, such as a record of an older daemon whose WAL
+// was not retired by a clean shutdown.
 func (s *Server) replayRecord(raw []byte) error {
 	var rec walRecord
 	if err := json.Unmarshal(raw, &rec); err != nil {
 		return fmt.Errorf("serve: undecodable WAL record: %w", err)
 	}
 	switch rec.Op {
-	case "charge":
+	case "answer":
 		if rec.State == nil {
-			return fmt.Errorf("serve: charge record for tenant %q has no state", rec.Tenant)
+			return fmt.Errorf("serve: answer record for tenant %q has no state", rec.Tenant)
 		}
 		// Absolute post-charge state: overwrite, idempotently.
-		return s.Accountant(rec.Tenant).RestoreState(*rec.State)
-	case "open":
-		var spec planKeySpec
-		if err := json.Unmarshal([]byte(rec.Key), &spec); err != nil {
-			return fmt.Errorf("serve: open record has unparseable plan key: %w", err)
-		}
-		entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
-		if err != nil {
-			return fmt.Errorf("serve: re-preparing plan for open replay: %w", err)
-		}
-		base := rec.Base
-		if base == nil {
-			base = make([]float64, entry.plan.Domain())
-		}
-		// put (not getOrCreate): replaying "open" after the stream was already
-		// restored from the snapshot means the crash landed between the WAL
-		// append and the acknowledgment — the fresh stream is the acknowledged
-		// state only if no snapshot captured it, and a snapshot is always
-		// rotated after replay folds the log in, so an overwrite here replays
-		// the same history the original daemon saw.
-		stream, err := entry.eng.OpenStream(entry.plan, base, blowfish.StreamOptions{})
-		if err != nil {
-			return fmt.Errorf("serve: reopening stream for replay: %w", err)
-		}
-		s.streams.put(streamKey(rec.Tenant, exactKey), stream)
-		return nil
-	case "apply":
-		st, ok := s.streams.get(streamKey(rec.Tenant, rec.Key))
-		if !ok {
-			return fmt.Errorf("serve: apply record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
-		}
-		return st.Apply(blowfish.Delta{Cells: rec.Cells, Values: rec.Values})
-	case "idem_answer":
-		if rec.State == nil {
-			return fmt.Errorf("serve: idem_answer record for tenant %q has no state", rec.Tenant)
-		}
 		if err := s.Accountant(rec.Tenant).RestoreState(*rec.State); err != nil {
 			return err
 		}
-		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
-		return nil
-	case "idem_update":
-		var spec planKeySpec
-		if err := json.Unmarshal([]byte(rec.Key), &spec); err != nil {
-			return fmt.Errorf("serve: idem_update record has unparseable plan key: %w", err)
-		}
-		entry, exactKey, err := s.plan(spec.Policy, spec.Workload, spec.Options)
+	case "update":
+		entry, exactKey, err := s.planFromKey(rec.Key)
 		if err != nil {
-			return fmt.Errorf("serve: re-preparing plan for idem_update replay: %w", err)
+			return err
 		}
 		skey := streamKey(rec.Tenant, exactKey)
 		if rec.Created {
@@ -412,29 +338,31 @@ func (s *Server) replayRecord(raw []byte) error {
 			if base == nil {
 				base = make([]float64, entry.plan.Domain())
 			}
-			// Overwrite, for the same reason the "open" case does: the WAL is
-			// always post-snapshot, so the record's history is the acknowledged
-			// history.
+			// put, not getOrCreate: the WAL only holds records newer than the
+			// snapshot, so a created stream replaces any image of an earlier
+			// stream the snapshot held before that one aged out of the LRU.
 			stream, err := entry.eng.OpenStream(entry.plan, base, blowfish.StreamOptions{})
 			if err != nil {
-				return fmt.Errorf("serve: reopening stream for idem_update replay: %w", err)
+				return fmt.Errorf("serve: reopening stream for replay: %w", err)
 			}
 			s.streams.put(skey, stream)
 		}
 		st, ok := s.streams.get(skey)
 		if !ok {
-			return fmt.Errorf("serve: idem_update record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
+			return fmt.Errorf("serve: update record for tenant %q references a stream neither snapshot nor log opened", rec.Tenant)
 		}
 		if len(rec.Cells) > 0 {
 			if err := st.Apply(blowfish.Delta{Cells: rec.Cells, Values: rec.Values}); err != nil {
 				return err
 			}
 		}
-		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: rec.Status, Body: rec.Body, At: rec.At})
-		return nil
 	default:
-		return fmt.Errorf("serve: unknown WAL op %q", rec.Op)
+		return fmt.Errorf("serve: unknown WAL op %q; a log written by an older daemon must be retired by a SIGTERM shutdown before upgrading", rec.Op)
 	}
+	if rec.IdemKey != "" {
+		s.idem.install(idemKey(rec.Tenant, rec.IdemKey), idemEntry{Status: http.StatusOK, Body: rec.Body, At: rec.At})
+	}
+	return nil
 }
 
 // Recover attaches the daemon to its data directory, restores the latest

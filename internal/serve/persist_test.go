@@ -6,10 +6,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 
 	blowfish "github.com/privacylab/blowfish"
 	"github.com/privacylab/blowfish/internal/faultinject"
+	"github.com/privacylab/blowfish/internal/persist"
 )
 
 // durable returns a Config for a crash-test daemon: manual snapshots only
@@ -184,8 +186,8 @@ func TestDiskFailureDegradesReadOnly(t *testing.T) {
 	if code, _ := do(t, s, "POST", "/v1/update", updateBody(t, "t", 8, nil, []int{1}, []float64{2})); code != http.StatusOK {
 		t.Fatal("healthy update")
 	}
-	// Fail the next WAL append (the coming update's "apply" record).
-	inj.Arm(faultinject.Failure{Point: "wal.append", Hit: 3, Kind: faultinject.Err})
+	// Fail the next WAL append (the coming update's record).
+	inj.Arm(faultinject.Failure{Point: "wal.append", Hit: int(s.Stats().WALRecords) + 1, Kind: faultinject.Err})
 	code, body := do(t, s, "POST", "/v1/update", updateBody(t, "t", 8, nil, []int{2}, []float64{5}))
 	if code != http.StatusServiceUnavailable || errCode(t, body) != "read_only" {
 		t.Fatalf("update on dead disk: %d %s", code, body)
@@ -214,6 +216,33 @@ func TestDiskFailureDegradesReadOnly(t *testing.T) {
 	}
 	if spent := s.Accountant("t").Spent().Epsilon; math.Abs(spent-0.25) > 1e-12 {
 		t.Fatalf("in-memory accounting must keep enforcing, spent ε=%g", spent)
+	}
+}
+
+// TestRecoverRejectsRetiredOp: a WAL holding a record of an op this
+// version no longer writes ("charge", from daemons that logged a plain
+// charge apart from its answer) fails Recover with an error naming the op,
+// instead of replaying it through a second decoder or skipping it.
+func TestRecoverRejectsRetiredOp(t *testing.T) {
+	dir := t.TempDir()
+	store, _, err := persist.Open(dir, persist.Options{NoSync: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := `{"op":"charge","tenant":"t","state":{"budget":{"epsilon":0,"delta":0},"spent":{"epsilon":0.5,"delta":0},"releases":1}}`
+	if err := store.Append([]byte(rec)); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(durable(dir, nil))
+	err = s.Recover()
+	if err == nil || !strings.Contains(err.Error(), `"charge"`) {
+		t.Fatalf("Recover over a charge record: err = %v, want one naming the op", err)
+	}
+	if code, _ := do(t, s, "GET", "/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after failed recovery: %d, want 503", code)
 	}
 }
 

@@ -4,13 +4,14 @@
 // The daemon keeps LRU caches for compiled engines, plans, and maintained
 // streams — keyed by (policy, workload, options) with single-flight builds,
 // so a strategy compiles once and serves every tenant — and one budget
-// Accountant per tenant. Admission control runs before any computation: a
-// release is charged against the tenant's (ε, δ) budget up front and
-// rejected with HTTP 429 (and the remaining budget in the response body)
-// when it would overspend; an optional per-tenant token bucket rate-limits
-// ahead of the ledger. Admitted requests for the same plan inside the batch
-// window are coalesced across tenants into single Plan.AnswerBatch calls
-// over the shared worker pool.
+// Accountant per tenant. Every release is priced against the tenant's
+// (ε, δ) budget before any noise is drawn and rejected with HTTP 429 (and
+// the remaining budget in the response body) when it would overspend; the
+// answers are then computed and the charge commits before they are
+// acknowledged (see commitAnswer). An optional per-tenant token bucket
+// rate-limits ahead of the ledger. Unkeyed requests for the same plan
+// inside the batch window are coalesced across tenants into single
+// Plan.AnswerBatch calls over the shared worker pool.
 //
 // POST /v1/update feeds the streaming path: each (tenant, plan) pair owns a
 // maintained Stream whose deltas refresh the cached state without charging
@@ -22,9 +23,10 @@
 //
 // With Config.DataDir set, serving is durable (see persist.go in this
 // package and internal/persist): tenant ledgers and stream state snapshot
-// periodically, every charge and delta is written ahead to a synced WAL,
-// and Recover replays both on startup before the daemon reports ready —
-// a crash can neither re-grant spent budget nor lose acknowledged deltas.
+// periodically, every answer and every update commits as one record of a
+// synced WAL before it is acknowledged, and Recover replays the log on
+// startup before the daemon reports ready — a crash can neither re-grant
+// spent budget nor lose acknowledged deltas.
 //
 // Typed library errors map to HTTP statuses and stable wire codes
 // consistently (see statusFor and writeError — budget_exhausted and
@@ -112,10 +114,11 @@ type Config struct {
 	Logf func(format string, args ...any)
 	// DataDir, when set, makes serving durable: tenant ledgers and stream
 	// state snapshot into this directory and every budget charge and stream
-	// delta is written ahead to a synced WAL. The daemon answers 503
-	// "not_ready" until Recover has replayed the log; a disk failure flips
-	// the daemon read-only (updates 503 "read_only", answers keep serving
-	// with in-memory accounting). Empty disables persistence entirely.
+	// delta commits to a synced WAL before it is acknowledged. The daemon
+	// answers 503 "not_ready" until Recover has replayed the log; a disk
+	// failure flips the daemon read-only (updates 503 "read_only", answers
+	// keep serving with in-memory accounting). Empty disables persistence
+	// entirely.
 	DataDir string
 	// SnapshotInterval is how often the durable daemon folds its WAL into a
 	// fresh snapshot generation; 0 defaults to one minute, negative disables
@@ -223,12 +226,12 @@ type Server struct {
 	src   *blowfish.Source
 
 	// walMu serializes the durable mutation order: every budget charge and
-	// stream delta appends its WAL record under walMu before the in-memory
-	// state changes, and snapshot rotation exports under the same mutex —
-	// so the WAL order equals the apply order and a rotation can never lose
-	// a record or double-apply one. walMu is always taken before any
-	// accountant, cache or stream lock, never after. Nil store (no DataDir)
-	// skips it entirely.
+	// stream mutation changes memory and appends its one WAL record inside
+	// the same walMu section, and snapshot rotation exports under the same
+	// mutex — so the WAL order equals the apply order and a rotation can
+	// never lose a record or double-apply one. walMu is always taken before
+	// any accountant, cache or stream lock, never after. Nil store (no
+	// DataDir) skips it entirely.
 	walMu    sync.Mutex
 	store    *persist.Store
 	ready    atomic.Bool
@@ -725,13 +728,10 @@ func engineKey(ps PolicySpec) (string, error) {
 }
 
 // plan returns the cached compiled plan for (pol, wl, o), compiling (and
-// caching the policy's Engine) on first use. The second result is the exact
-// cache key, which also scopes the plan's per-tenant streams.
-func (s *Server) plan(pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntry, string, error) {
-	key, _, err := planKey(pol, wl, o)
-	if err != nil {
-		return nil, "", err
-	}
+// caching the policy's Engine) on first use. key is planKey's exact cache
+// key for the same specs; callers compute it once per request because it
+// also scopes the plan's streams and drives the admission gate.
+func (s *Server) plan(key string, pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntry, error) {
 	entry, _, err := s.plans.getOrCreate(key, func() (*planEntry, error) {
 		ekey, err := engineKey(pol)
 		if err != nil {
@@ -767,14 +767,15 @@ func (s *Server) plan(pol PolicySpec, wl WorkloadSpec, o OptionsSpec) (*planEntr
 		}
 		return e, nil
 	})
-	return entry, key, err
+	return entry, err
 }
 
-// runBatch releases one coalesced batch. Calls were charged at admission, so
-// the AnswerBatch runs with a nil accountant; they may carry different ε
-// (one AnswerBatch call answers at a single ε), so the batch splits into
-// per-ε groups first — concurrent serving traffic for one plan typically
-// shares its ε, making one group the common case.
+// runBatch computes one coalesced batch. Each caller charges its own tenant
+// after its answers come back (see commitAnswer), so the AnswerBatch runs
+// with a nil accountant. Calls may carry different ε (one AnswerBatch call
+// answers at a single ε), so the batch splits into per-ε groups first —
+// concurrent serving traffic for one plan typically shares its ε, making
+// one group the common case.
 func (s *Server) runBatch(pl *blowfish.Plan, calls []*batchCall) {
 	s.batches.Add(1)
 	s.batchedReleases.Add(int64(len(calls)))
@@ -892,79 +893,70 @@ func (s *Server) handleAnswer(w http.ResponseWriter, r *http.Request) {
 	if s.testSlow != nil {
 		s.testSlow()
 	}
-	entry, _, err := s.plan(req.Policy, req.Workload, req.Options)
+	entry, err := s.plan(key, req.Policy, req.Workload, req.Options)
 	if err != nil {
 		s.fail(w, err)
 		return
 	}
 	pl := entry.plan
+	// Validate the request fully before pricing it, so a malformed request
+	// is reported as such rather than as an exhausted budget.
+	var st *blowfish.Stream
 	if req.Stream {
-		s.answerStream(ctx, w, tenant, key, ikey, hash, &req, pl)
-		return
-	}
-	// Validate the request fully before admission so a rejected request
-	// never spends budget.
-	if len(req.X) != pl.Domain() {
+		if req.X != nil {
+			s.fail(w, invalid(`a "stream": true request answers the maintained stream; x must be absent`))
+			return
+		}
+		var ok bool
+		if st, ok = s.streams.get(streamKey(tenant, key)); !ok {
+			s.errorCount.Add(1)
+			writeError(w, http.StatusNotFound, "no_stream",
+				fmt.Sprintf("tenant %q has no stream for this plan; create one with POST /v1/update", tenant), nil)
+			return
+		}
+	} else if len(req.X) != pl.Domain() {
 		s.fail(w, fmt.Errorf("serve: database size %d != policy domain %d: %w",
 			len(req.X), pl.Domain(), blowfish.ErrDomainMismatch))
 		return
 	}
+	// Price the release before computing it: a tenant the ledger would
+	// refuse is rejected before any noise is drawn from the daemon's source.
 	acct := s.Accountant(tenant)
-	if ikey != "" {
-		// Exactly-once path: compute first (noise is drawn but nothing is
-		// released to the caller), then charge + record the canonical
-		// response as one durable WAL record under the ledger mutex, then
-		// reply with the recorded bytes. A crash loses either everything
-		// (retry executes fresh) or nothing (retry replays these bytes).
-		out, err := pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
-		if err != nil {
-			s.fail(w, err)
-			return
-		}
-		body, err := s.chargeRecorded(tenant, ikey, acct, pl.Cost(req.Epsilon), func(info BudgetInfo) ([]byte, error) {
-			return json.Marshal(AnswerResponse{
-				Algorithm: pl.Algorithm(),
-				Answers:   out,
-				Batched:   1,
-				PlanKey:   hash,
-				Budget:    info,
-			})
-		})
-		if err != nil {
-			s.chargeFail(w, acct, err)
-			return
-		}
-		s.answered.Add(1)
-		writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
-		return
-	}
-	// Admission control: charge the tenant's ledger before any computation
-	// (write-ahead when the daemon is durable).
-	if err := s.chargeTenant(tenant, acct, pl.Cost(req.Epsilon)); err != nil {
+	per := pl.Cost(req.Epsilon)
+	if err := acct.Admit(per, 1); err != nil {
 		s.chargeFail(w, acct, err)
 		return
 	}
-	var res batchResult
-	if entry.batcher != nil {
+	res := batchResult{batched: 1}
+	switch {
+	case st != nil:
+		res.answers, res.err = st.AnswerWith(ctx, nil, req.Epsilon, s.split())
+	case entry.batcher != nil && ikey == "":
 		res = entry.batcher.submit(ctx, req.X, req.Epsilon)
-	} else {
-		out, err := pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
-		res = batchResult{answers: out, batched: 1, err: err}
+	default:
+		res.answers, res.err = pl.AnswerWith(ctx, nil, req.X, req.Epsilon, s.split())
 	}
 	if res.err != nil {
-		s.errorCount.Add(1)
-		status, code := statusFor(res.err)
-		writeError(w, status, code, res.err.Error(), nil)
+		s.fail(w, res.err)
 		return
 	}
-	s.answered.Add(1)
-	writeJSON(w, http.StatusOK, AnswerResponse{
+	// Nothing computed above reaches the caller until commitAnswer has
+	// charged the ledger (and logged the charge on a durable daemon).
+	body, err := s.commitAnswer(tenant, ikey, acct, per, AnswerResponse{
 		Algorithm: pl.Algorithm(),
 		Answers:   res.answers,
 		Batched:   res.batched,
 		PlanKey:   hash,
-		Budget:    budgetInfo(acct),
 	})
+	if err != nil {
+		s.chargeFail(w, acct, err)
+		return
+	}
+	s.answered.Add(1)
+	if st != nil {
+		s.streamAnswers.Add(1)
+	}
+	writeRecorded(w, &idemEntry{Status: http.StatusOK, Body: body}, false)
 }
 
 // chargeFail reports a failed budget charge: exhaustion carries the
@@ -995,9 +987,9 @@ func writeRecorded(w http.ResponseWriter, ent *idemEntry, replay bool) {
 	_, _ = w.Write(ent.Body)
 }
 
-// budgetInfoFromState is budgetInfo over an exported ledger state — the
-// idempotent path builds the canonical response from the tentative
-// post-charge state inside the commit hook, before the spend is visible.
+// budgetInfoFromState is budgetInfo over an exported ledger state —
+// commitAnswer builds each response from the request's own post-charge
+// state, which the commit hook sees before the spend is visible.
 func budgetInfoFromState(st blowfish.AccountantState) BudgetInfo {
 	info := BudgetInfo{
 		SpentEpsilon: st.Spent.Epsilon,

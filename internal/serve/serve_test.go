@@ -239,6 +239,111 @@ func TestBatchCoalescing(t *testing.T) {
 	}
 }
 
+// TestBatchedDeadlineLeavesLedgerUnchanged: an unkeyed answer whose
+// deadline expires while it waits in the batcher gets 504 and is never
+// charged — its release was not delivered, so nothing was spent.
+func TestBatchedDeadlineLeavesLedgerUnchanged(t *testing.T) {
+	s := New(Config{Seed: 2, BatchWindow: 200 * time.Millisecond, MaxBatch: 64})
+	x := make([]float64, 16)
+	// Warm the plan cache (on another tenant) so compile time cannot eat
+	// the deadline before the request reaches the batcher.
+	if code, _, _ := post(t, s, answerBody(t, "warm", 16, 0.5, x)); code != http.StatusOK {
+		t.Fatal("warmup failed")
+	}
+	body := mustJSON(AnswerRequest{
+		Tenant:    "d",
+		Policy:    PolicySpec{Kind: "line", K: 16},
+		Workload:  WorkloadSpec{Kind: "histogram"},
+		Epsilon:   0.5,
+		X:         x,
+		TimeoutMS: 20,
+	})
+	code, _, bad := post(t, s, body)
+	if code != http.StatusGatewayTimeout || bad.Code != "deadline_exceeded" {
+		t.Fatalf("deadline in the batcher: %d %q, want 504 deadline_exceeded", code, bad.Code)
+	}
+	if st := s.Accountant("d").ExportState(); st.Spent != (blowfish.Budget{}) || st.Releases != 0 {
+		t.Fatalf("undelivered release was charged: %+v", st)
+	}
+	// Let the abandoned batch flush so no timer outlives the test.
+	for deadline := time.Now().Add(2 * time.Second); s.Stats().Batches < 2; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("abandoned batch never flushed")
+		}
+	}
+}
+
+// TestRejectedTenantDrawsNoNoise pins the pre-check on every answer path:
+// an exhausted tenant's request is refused before it takes a noise stream
+// from the daemon's source, so the tenants answered after it get exactly
+// the answers a daemon that never saw the refused request would give.
+func TestRejectedTenantDrawsNoNoise(t *testing.T) {
+	const k = 8
+	budget := blowfish.Budget{Epsilon: 1}
+	x := []float64{3, 1, 4, 1, 5, 9, 2, 6}
+	for _, keyed := range []bool{false, true} {
+		for _, stream := range []bool{false, true} {
+			t.Run(fmt.Sprintf("keyed=%v/stream=%v", keyed, stream), func(t *testing.T) {
+				answer := func(s *Server, tenant string) *httptest.ResponseRecorder {
+					body := answerBody(t, tenant, k, 0.5, x)
+					if stream {
+						body = streamAnswerBody(t, tenant, k, 0.5)
+					}
+					key := ""
+					if keyed {
+						key = "key-" + tenant
+					}
+					return postKeyed(t, s, "/v1/answer", key, body)
+				}
+				serve := func(tenants ...string) (*Server, map[string]*httptest.ResponseRecorder) {
+					s := New(Config{Seed: 11, TenantBudget: budget})
+					if stream {
+						for _, tenant := range tenants {
+							if rec := postPath(t, s, "/v1/update", updateBody(t, tenant, k, x, nil, nil)); rec.Code != http.StatusOK {
+								t.Fatalf("opening %s's stream: %d %s", tenant, rec.Code, rec.Body.String())
+							}
+						}
+					}
+					exhausted := blowfish.AccountantState{Budget: budget, Spent: budget, Releases: 2}
+					if err := s.Accountant("B").RestoreState(exhausted); err != nil {
+						t.Fatal(err)
+					}
+					out := map[string]*httptest.ResponseRecorder{}
+					for _, tenant := range tenants {
+						out[tenant] = answer(s, tenant)
+					}
+					return s, out
+				}
+				s, got := serve("A", "B", "C")
+				_, want := serve("A", "C")
+				if got["B"].Code != http.StatusTooManyRequests || errCode(t, got["B"].Body.Bytes()) != "budget_exhausted" {
+					t.Fatalf("exhausted tenant: %d %s", got["B"].Code, got["B"].Body.String())
+				}
+				if st := s.Accountant("B").ExportState(); st.Spent != budget || st.Releases != 2 {
+					t.Fatalf("refused release moved B's ledger: %+v", st)
+				}
+				for _, tenant := range []string{"A", "C"} {
+					if got[tenant].Code != http.StatusOK {
+						t.Fatalf("%s: %d %s", tenant, got[tenant].Code, got[tenant].Body.String())
+					}
+					var g, w AnswerResponse
+					if err := json.Unmarshal(got[tenant].Body.Bytes(), &g); err != nil {
+						t.Fatal(err)
+					}
+					if err := json.Unmarshal(want[tenant].Body.Bytes(), &w); err != nil {
+						t.Fatal(err)
+					}
+					for i := range w.Answers {
+						if g.Answers[i] != w.Answers[i] {
+							t.Fatalf("%s's answers %v differ from a daemon that never saw B: %v", tenant, g.Answers, w.Answers)
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
 // TestErrorMapping pins the typed-error → HTTP status table.
 func TestErrorMapping(t *testing.T) {
 	s := New(Config{Seed: 1})

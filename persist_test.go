@@ -114,6 +114,36 @@ func TestChargeLoggedCommitOrdering(t *testing.T) {
 	}
 }
 
+// TestAdmitPricesWithoutCommitting pins the pre-check: Admit returns what
+// Charge would return at that moment and never moves the ledger.
+func TestAdmitPricesWithoutCommitting(t *testing.T) {
+	a, err := NewAccountant(Budget{Epsilon: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Admit(Budget{Epsilon: 0.75}, 1); err != nil {
+		t.Fatalf("affordable release: %v", err)
+	}
+	if err := a.Admit(Budget{Epsilon: 0.75}, 2); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("unaffordable release: want ErrBudgetExhausted, got %v", err)
+	}
+	if err := a.Admit(Budget{}, 1); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("ε=0 under a finite budget: want ErrBudgetExhausted, got %v", err)
+	}
+	if err := a.Admit(Budget{Epsilon: 0.1}, -1); !errors.Is(err, ErrInvalidOptions) {
+		t.Fatalf("negative count: want ErrInvalidOptions, got %v", err)
+	}
+	if st := a.ExportState(); st.Spent != (Budget{}) || st.Releases != 0 {
+		t.Fatalf("Admit moved the ledger: %+v", st)
+	}
+	if err := a.Charge(Budget{Epsilon: 0.75}, 1); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Admit(Budget{Epsilon: 0.5}, 1); !errors.Is(err, ErrBudgetExhausted) {
+		t.Fatalf("after a charge: want ErrBudgetExhausted, got %v", err)
+	}
+}
+
 // TestStreamStateRoundTrip is the tentpole restore property on every
 // strategy branch: apply deltas through the incremental path (accumulating
 // patch drift the dense rebuild would erase), export, serialize, restore,
