@@ -11,8 +11,10 @@ all: lint build test
 build:
 	$(GO) build ./...
 
+# perfbench is a nested module that the root ./... skips.
 test:
 	$(GO) test -race ./...
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Benchmarks: a 1-iteration smoke pass over every Benchmark* (so they cannot
 # bit-rot), then the experiment driver writing the machine-readable report

@@ -11,6 +11,7 @@
 package blowfish
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -532,6 +533,38 @@ func BenchmarkPriveletOracleQuery(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		o.IntervalNoise(100, 3000)
+	}
+}
+
+// BenchmarkGridStreamAnswer measures one stream release on the 512×512
+// grid policy with 64 random rectangles — the per-line Privelet noise pass
+// plus the reads off the maintained summed-area table — with compile and
+// stream set-up untimed and no accountant charged.
+func BenchmarkGridStreamAnswer(b *testing.B) {
+	const side, queries = 512, 64
+	eng, err := Open(GridPolicy(side), EngineOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	plan, err := eng.Prepare(RandomRangesKd([]int{side, side}, queries, NewSource(31)), Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := make([]float64, side*side)
+	for i := range x {
+		x[i] = float64(i % 7)
+	}
+	st, err := eng.OpenStream(plan, x, StreamOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := NewSource(32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := st.AnswerWith(context.Background(), nil, 1.0, src); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -126,12 +126,8 @@ type HierOracle struct {
 
 // NewHierOracle returns a HierOracle over m positions with budget eps.
 func NewHierOracle(m int, eps float64, src *noise.Source) *HierOracle {
-	size := 1
-	levels := 1
-	for size < m {
-		size *= 2
-		levels++
-	}
+	size, h := paddedSize(m)
+	levels := h + 1
 	o := &HierOracle{m: m, size: size, levels: levels, nodes: make([]float64, 2*size-1)}
 	if eps > 0 {
 		o.scale = float64(levels) / eps
@@ -181,6 +177,17 @@ func (o *HierOracle) countNodes(a, b, l, r int) int {
 	}
 	mid := (a + b) / 2
 	return o.countNodes(a, mid, l, r) + o.countNodes(mid+1, b, l, r)
+}
+
+// paddedSize returns the power-of-two size the tree oracles pad an
+// m-position domain to, and its height h = log2(size).
+func paddedSize(m int) (size, h int) {
+	size = 1
+	for size < m {
+		size *= 2
+		h++
+	}
+	return size, h
 }
 
 func checkInterval(m, l, r int) {

@@ -191,3 +191,42 @@ func TestHierCanonicalDecomposition(t *testing.T) {
 		t.Fatalf("canonical decomposition mismatch: %g vs %g", got, sum)
 	}
 }
+
+// TestSupportDrawMatchesFullOracle pins Support.Draw to NewOracle: the same
+// interval noise bit for bit, the same stream position afterwards, and nil
+// with no intervals. eps = 1e307 overflows eps·width on the wide Privelet
+// levels, so their scales are 0 and they draw nothing while narrow levels
+// still draw.
+func TestSupportDrawMatchesFullOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, kind := range []OracleKind{CellKind, HierKind, PriveletKind} {
+		for _, m := range []int{1, 5, 9, 16, 17} {
+			for _, eps := range []float64{0, 0.7, 1e307} {
+				for _, n := range []int{0, 1, 4} {
+					ivs := make([]Interval, n)
+					for i := range ivs {
+						l := rng.Intn(m)
+						ivs[i] = Interval{L: l, R: l + rng.Intn(m-l)}
+					}
+					full := NewOracle(kind, m, eps, noise.NewSource(int64(m)))
+					src := noise.NewSource(int64(m))
+					got := NewSupport(kind, m, ivs).Draw(eps, src)
+					if n == 0 && got != nil {
+						t.Fatalf("kind %d m=%d: Draw with no intervals returned %v", kind, m, got)
+					}
+					for _, iv := range ivs {
+						a, b := full.IntervalNoise(iv.L, iv.R), got.IntervalNoise(iv.L, iv.R)
+						if math.Float64bits(a) != math.Float64bits(b) {
+							t.Fatalf("kind %d m=%d eps=%g %v: support noise %v != full %v", kind, m, eps, iv, b, a)
+						}
+					}
+					after := noise.NewSource(int64(m))
+					NewOracle(kind, m, eps, after)
+					if a, b := after.Uniform(), src.Uniform(); a != b {
+						t.Fatalf("kind %d m=%d eps=%g n=%d: stream position differs after Draw", kind, m, eps, n)
+					}
+				}
+			}
+		}
+	}
+}

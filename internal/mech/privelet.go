@@ -26,24 +26,34 @@ type PriveletOracle struct {
 	m        int
 	size     int // padded power of two
 	levels   int // h = log2(size)
+	eps      float64
 	avg      float64
 	avgScale float64
-	nodes    []float64 // heap layout of detail-coefficient noise
-	scales   []float64 // Laplace scale used per detail node
+	// nodes holds the detail-coefficient noise of the size−1 internal nodes
+	// in heap order, or, when slot is set, of the nodes a Support reads.
+	nodes []float64
+	slot  []int32 // heap index → index into nodes; nil for the full heap
 }
 
 // NewPriveletOracle returns a Privelet oracle over m positions with budget
 // eps.
 func NewPriveletOracle(m int, eps float64, src *noise.Source) *PriveletOracle {
-	size := 1
-	h := 0
-	for size < m {
-		size *= 2
-		h++
+	return newPriveletOracle(m, eps, src, nil, nil)
+}
+
+// newPriveletOracle draws the average and then the detail nodes in heap
+// order, one Source value each. With read nil every node is kept; otherwise
+// only the heap indices in read (ascending) are transformed and stored, at
+// nodes[slot[i]], and the rest advance src unread, so every kept value sits
+// at the same stream position as in the full oracle.
+func newPriveletOracle(m int, eps float64, src *noise.Source, read, slot []int32) *PriveletOracle {
+	size, h := paddedSize(m)
+	o := &PriveletOracle{m: m, size: size, levels: h, eps: eps, slot: slot}
+	if read == nil {
+		o.nodes = make([]float64, size-1)
+	} else {
+		o.nodes = make([]float64, len(read))
 	}
-	o := &PriveletOracle{m: m, size: size, levels: h,
-		nodes:  make([]float64, maxInt(2*size-1, 1)),
-		scales: make([]float64, maxInt(2*size-1, 1))}
 	if eps <= 0 {
 		return o
 	}
@@ -51,19 +61,33 @@ func NewPriveletOracle(m int, eps float64, src *noise.Source) *PriveletOracle {
 	o.avgScale = rho / (eps * float64(size))
 	o.avg = src.Laplace(o.avgScale)
 	// Node i in the heap covers size/2^depth cells; its weight is its width.
-	width := size
-	idx := 0
-	count := 1
-	for width >= 2 {
-		for j := 0; j < count; j++ {
-			o.scales[idx] = rho / (eps * float64(width))
-			o.nodes[idx] = src.Laplace(o.scales[idx])
-			idx++
+	idx, j := 0, 0 // next heap index to draw; next entry of read
+	for width, count := size, 1; width >= 2; width, count = width/2, count*2 {
+		scale := rho / (eps * float64(width))
+		end := idx + count
+		if read == nil {
+			for ; idx < end; idx++ {
+				o.nodes[idx] = src.Laplace(scale)
+			}
+			continue
 		}
-		width /= 2
-		count *= 2
+		for ; j < len(read) && int(read[j]) < end; j++ {
+			skipLaplace(src, int(read[j])-idx, scale)
+			o.nodes[j] = src.Laplace(scale)
+			idx = int(read[j]) + 1
+		}
+		skipLaplace(src, end-idx, scale)
+		idx = end
 	}
 	return o
+}
+
+// skipLaplace advances src past n Laplace(b) draws: none when b ≤ 0, which
+// Laplace answers without drawing.
+func skipLaplace(src *noise.Source, n int, b float64) {
+	if !(b <= 0) {
+		src.Skip(n)
+	}
 }
 
 // M implements Oracle.
@@ -96,7 +120,12 @@ func (o *PriveletOracle) walkVariance(node, a, b, l, r int) float64 {
 	cl := overlap(l, r, a, mid)
 	cr := overlap(l, r, mid+1, b)
 	c := float64(cl - cr)
-	out := c * c * 2 * o.scales[node] * o.scales[node]
+	// A node's scale depends only on its level, i.e. its width b−a+1.
+	scale := float64(o.levels+1) / (o.eps * float64(b-a+1))
+	if o.eps <= 0 {
+		scale = 0
+	}
+	out := c * c * 2 * scale * scale
 	out += o.walkVariance(2*node+1, a, mid, l, r)
 	out += o.walkVariance(2*node+2, mid+1, b, l, r)
 	return out
@@ -116,7 +145,11 @@ func (o *PriveletOracle) walkDetail(node, a, b, l, r int) float64 {
 	mid := (a + b) / 2
 	cl := overlap(l, r, a, mid)
 	cr := overlap(l, r, mid+1, b)
-	out := float64(cl-cr) * o.nodes[node]
+	i := node
+	if o.slot != nil {
+		i = int(o.slot[node])
+	}
+	out := float64(cl-cr) * o.nodes[i]
 	out += o.walkDetail(2*node+1, a, mid, l, r)
 	out += o.walkDetail(2*node+2, mid+1, b, l, r)
 	return out

@@ -65,6 +65,19 @@ func (s *Source) Int63() int64 {
 	return s.rng.Int63()
 }
 
+// Skip advances the stream past n draws without transforming them: after
+// Skip(n) the stream is where n calls of Laplace(b) with b > 0 would leave
+// it. Mechanisms that draw a fixed noise layout but read only part of it use
+// Skip for the unread part, so the values they keep sit at the same stream
+// positions as in the full layout.
+func (s *Source) Skip(n int) {
+	s.enter()
+	defer s.exit()
+	for i := 0; i < n; i++ {
+		s.rng.Float64()
+	}
+}
+
 // Laplace samples from the Laplace distribution with mean 0 and scale b,
 // i.e. density (1/2b)·exp(−|x|/b). Scale b ≤ 0 yields 0 (no noise), which is
 // convenient for "infinite ε" baselines in tests.

@@ -22,6 +22,21 @@ func TestLaplaceZeroScale(t *testing.T) {
 	}
 }
 
+// TestSkipMatchesLaplaceDraws pins Skip(n) to the stream position n
+// Laplace(b > 0) draws leave behind.
+func TestSkipMatchesLaplaceDraws(t *testing.T) {
+	for _, n := range []int{0, 1, 607, 100000} {
+		drawn, skipped := NewSource(9), NewSource(9)
+		for i := 0; i < n; i++ {
+			drawn.Laplace(0.5)
+		}
+		skipped.Skip(n)
+		if a, b := drawn.Uniform(), skipped.Uniform(); a != b {
+			t.Fatalf("n=%d: next Uniform after Skip %v != after Laplace draws %v", n, b, a)
+		}
+	}
+}
+
 func TestLaplaceMomentsMatch(t *testing.T) {
 	s := NewSource(7)
 	const n = 200000

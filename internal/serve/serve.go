@@ -199,7 +199,9 @@ type Stats struct {
 // Server is the http.Handler implementing the blowfishd API:
 //
 //	GET  /healthz     liveness probe
-//	POST /v1/answer   release a workload over a database for one tenant
+//	GET  /readyz      readiness probe: 503 while replaying the WAL or read-only
+//	POST /v1/answer   release a workload over a database (or a tenant's stream)
+//	POST /v1/update   apply a delta to a tenant's maintained stream
 //	GET  /v1/budget   a tenant's budget ledger (?tenant=name)
 //	GET  /v1/stats    serving counters
 //

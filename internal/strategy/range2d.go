@@ -23,43 +23,81 @@ import (
 // exactly (W_G)_{·f}, and a unit change along f shifts the strategy vector
 // by f's per-line participation, which each oracle calibrates its noise to.
 
-// grid2DStrategy holds per-line oracles for a rows×cols grid.
-type grid2DStrategy struct {
-	rows, cols int
-	vLines     []mech.Oracle // vLines[r]: edges (r,c)-(r+1,c), position c
-	hLines     []mech.Oracle // hLines[c]: edges (r,c)-(r,c+1), position r
+// gridNoise is the compile-time noise plan of one rectangle workload on a
+// rows×cols grid: per line, the mech.Support of the boundary runs the
+// workload reads on it, and per query its runs. Lines are indexed in the
+// order their oracles draw: the rows−1 vertical lines (line r holds edges
+// (r,c)-(r+1,c) at position c), then the cols−1 horizontal lines (line
+// rows−1+c holds edges (r,c)-(r,c+1) at position r).
+type gridNoise struct {
+	lines []*mech.Support
+	runs  [][]gridRun
 }
 
-func newGrid2DStrategy(rows, cols int, kind mech.OracleKind, eps float64, src *noise.Source) *grid2DStrategy {
-	s := &grid2DStrategy{rows: rows, cols: cols}
-	s.vLines = make([]mech.Oracle, rows-1)
-	for r := range s.vLines {
-		s.vLines[r] = mech.NewOracle(kind, cols, eps, src)
-	}
-	s.hLines = make([]mech.Oracle, cols-1)
-	for c := range s.hLines {
-		s.hLines[c] = mech.NewOracle(kind, rows, eps, src)
-	}
-	return s
+// gridRun is one boundary run of a query: positions [lo, hi] of one line,
+// with the sign of its reconstruction coefficient.
+type gridRun struct {
+	line, lo, hi int
+	sign         float64
 }
 
-// queryNoise assembles the signed boundary-run noise for rectangle
-// [r1,r2]×[c1,c2]. Sign convention: edge (u, v) with u the smaller index
-// carries +q[u]−q[v], so a run whose *inside* endpoint is v (larger index)
-// has coefficient −1 and vice versa.
-func (s *grid2DStrategy) queryNoise(r1, r2, c1, c2 int) float64 {
+// newGridNoise compiles the boundary runs of rects, at most four each.
+// Sign convention: edge (u, v) with u the smaller index carries +q[u]−q[v],
+// so a run whose *inside* endpoint is v (larger index) has coefficient −1
+// and vice versa. A side flush with the grid border has no run, and an
+// empty rectangle has none at all.
+func newGridNoise(rows, cols int, kind mech.OracleKind, rects []rect) *gridNoise {
+	g := &gridNoise{runs: make([][]gridRun, len(rects))}
+	ivs := make([][]mech.Interval, rows-1+cols-1)
+	add := func(i, line, lo, hi int, sign float64) {
+		g.runs[i] = append(g.runs[i], gridRun{line: line, lo: lo, hi: hi, sign: sign})
+		ivs[line] = append(ivs[line], mech.Interval{L: lo, R: hi})
+	}
+	for i, q := range rects {
+		if q.empty() {
+			continue
+		}
+		if q.r1 > 0 { // top boundary: vertical line r1−1, inside endpoint below
+			add(i, q.r1-1, q.c1, q.c2, -1)
+		}
+		if q.r2 < rows-1 { // bottom boundary: vertical line r2, inside endpoint above
+			add(i, q.r2, q.c1, q.c2, +1)
+		}
+		if q.c1 > 0 { // left boundary: horizontal line c1−1
+			add(i, rows-1+q.c1-1, q.r1, q.r2, -1)
+		}
+		if q.c2 < cols-1 { // right boundary: horizontal line c2
+			add(i, rows-1+q.c2, q.r1, q.r2, +1)
+		}
+	}
+	g.lines = make([]*mech.Support, len(ivs))
+	for l := range ivs {
+		m := cols
+		if l >= rows-1 {
+			m = rows
+		}
+		g.lines[l] = mech.NewSupport(kind, m, ivs[l])
+	}
+	return g
+}
+
+// draw draws one release's line oracles at budget eps. It consumes the
+// Source exactly as building every line's full oracle in line order would,
+// but transforms only the noise the compiled runs read; lines no run reads
+// come back nil.
+func (g *gridNoise) draw(eps float64, src *noise.Source) []mech.Oracle {
+	lines := make([]mech.Oracle, len(g.lines))
+	for l, sup := range g.lines {
+		lines[l] = sup.Draw(eps, src)
+	}
+	return lines
+}
+
+// query returns query i's signed boundary-run noise on one release's lines.
+func (g *gridNoise) query(lines []mech.Oracle, i int) float64 {
 	var n float64
-	if r1 > 0 { // top boundary: vertical line r1−1, inside endpoint below
-		n -= s.vLines[r1-1].IntervalNoise(c1, c2)
-	}
-	if r2 < s.rows-1 { // bottom boundary: vertical line r2, inside endpoint above
-		n += s.vLines[r2].IntervalNoise(c1, c2)
-	}
-	if c1 > 0 { // left boundary: horizontal line c1−1
-		n -= s.hLines[c1-1].IntervalNoise(r1, r2)
-	}
-	if c2 < s.cols-1 { // right boundary: horizontal line c2
-		n += s.hLines[c2].IntervalNoise(r1, r2)
+	for _, r := range g.runs[i] {
+		n += r.sign * lines[r.line].IntervalNoise(r.lo, r.hi)
 	}
 	return n
 }
@@ -83,11 +121,13 @@ func GridPolicyRange2D(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 }
 
 // CompileGridRange2D compiles the Theorem 5.4 strategy (d = 2) for one
-// workload: query rectangles are validated and unpacked once. The hot path
-// draws the per-line oracles (the only per-release randomness), builds the
-// summed-area table, and reads off the ≤4 boundary runs per query. Past the
-// cfg sharding threshold the truth side is emitted as a blocked operator
-// over dim-0 slabs (see shard.go); the oracle pass is unaffected.
+// workload: query rectangles are validated and unpacked once, and their
+// boundary runs fix the noise support. The hot path draws the per-line
+// oracles (the only per-release randomness), transforming only the
+// supported noise, builds the summed-area table, and reads off the ≤4
+// boundary runs per query. Past the cfg sharding threshold the truth side
+// is emitted as a blocked operator over dim-0 slabs (see shard.go); the
+// oracle pass is unaffected.
 func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *workload.Workload, cfg Config) (*Prepared, error) {
 	if len(dims) != 2 {
 		return nil, fmt.Errorf("strategy: GridPolicyRange2D wants a 2-D grid, got dims %v", dims)
@@ -97,26 +137,32 @@ func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *worklo
 		return nil, fmt.Errorf("strategy: grid %dx%d != workload domain %d", rows, cols, w.K)
 	}
 	rects := make([]workload.RangeKd, w.Len())
+	boxes := make([]rect, w.Len())
 	for i, q := range w.Queries {
 		rq, ok := q.(workload.RangeKd)
-		if !ok || len(rq.Lo) != 2 {
+		if !ok || len(rq.Lo) != 2 || len(rq.Hi) != 2 {
 			return nil, fmt.Errorf("strategy: GridPolicyRange2D wants 2-D RangeKd queries, got %T", q)
 		}
-		rects[i] = rq
+		box, err := gridRect(rows, cols, rq)
+		if err != nil {
+			return nil, err
+		}
+		rects[i], boxes[i] = rq, box
 	}
 	compilations.Add(1)
 	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
 	if err != nil {
 		return nil, err
 	}
+	gn := newGridNoise(rows, cols, kind, boxes)
 	// noiseInto is the per-release oracle pass, shared by the static answer
 	// and the streaming state so the two paths cannot drift. The oracles are
 	// the only randomness; they draw the same Source values whether the truth
 	// side is rebuilt per release or incrementally maintained.
 	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		s := newGrid2DStrategy(rows, cols, kind, eps, src)
-		for i, rq := range rects {
-			out[i] += s.queryNoise(rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1])
+		lines := gn.draw(eps, src)
+		for i := range out {
+			out[i] += gn.query(lines, i)
 		}
 	}
 	answer := func(x []float64, eps float64, src *noise.Source) ([]float64, error) {
@@ -130,4 +176,13 @@ func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *worklo
 	}
 	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
+}
+
+// gridRect checks a 2-D query rectangle against the rows×cols grid.
+func gridRect(rows, cols int, rq workload.RangeKd) (rect, error) {
+	q := rect{rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1]}
+	if q.r1 < 0 || q.c1 < 0 || q.empty() || q.r2 >= rows || q.c2 >= cols {
+		return q, fmt.Errorf("strategy: rectangle %v..%v outside grid %dx%d", rq.Lo, rq.Hi, rows, cols)
+	}
+	return q, nil
 }

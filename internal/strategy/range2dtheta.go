@@ -55,35 +55,40 @@ func newThetaLayout2D(dims []int, theta int) (*thetaLayout2D, error) {
 
 // noised draws the per-release oracles at budget eps (spent at ε/stretch per
 // Lemma 4.5), in the fixed order external lines, row bands, column bands.
-func (lay *thetaLayout2D) noised(eps float64, src *noise.Source) *thetaGrid2D {
-	s := &thetaGrid2D{thetaLayout2D: *lay}
+// ext is the workload's compiled external noise support.
+func (lay *thetaLayout2D) noised(ext *gridNoise, eps float64, src *noise.Source) *thetaGrid2D {
 	effEps := eps
 	if eps > 0 {
 		effEps = core.EffectiveEpsilon(eps, lay.stretch)
 	}
 	// External: disjoint red-lattice lines, full effective budget each.
-	s.external = newGrid2DStrategy(lay.redRows, lay.redCols, mech.PriveletKind, effEps, src)
-	// Internal: two overlapping band families (rows, columns) sharing the
-	// budget. With cell == 1 every vertex is red and there are no internal
-	// edges at all.
-	if lay.cell > 1 {
-		half := effEps / 2
-		for r0 := 0; r0 < lay.rows; r0 += lay.cell {
-			h := minInt2(lay.cell, lay.rows-r0)
-			s.rowBands = append(s.rowBands, mech.NewPriveletKd([]int{h, lay.cols}, half, src))
-		}
-		for c0 := 0; c0 < lay.cols; c0 += lay.cell {
-			w := minInt2(lay.cell, lay.cols-c0)
-			s.colBands = append(s.colBands, mech.NewPriveletKd([]int{lay.rows, w}, half, src))
-		}
-	}
+	s := &thetaGrid2D{thetaLayout2D: *lay, external: ext.draw(effEps, src)}
+	s.drawBands(effEps, src)
 	return s
+}
+
+// drawBands draws the internal oracles: two overlapping band families
+// (rows, columns) sharing the budget. With cell == 1 every vertex is red
+// and there are no internal edges at all.
+func (s *thetaGrid2D) drawBands(effEps float64, src *noise.Source) {
+	if s.cell <= 1 {
+		return
+	}
+	half := effEps / 2
+	for r0 := 0; r0 < s.rows; r0 += s.cell {
+		h := minInt2(s.cell, s.rows-r0)
+		s.rowBands = append(s.rowBands, mech.NewPriveletKd([]int{h, s.cols}, half, src))
+	}
+	for c0 := 0; c0 < s.cols; c0 += s.cell {
+		w := minInt2(s.cell, s.cols-c0)
+		s.colBands = append(s.colBands, mech.NewPriveletKd([]int{s.rows, w}, half, src))
+	}
 }
 
 // thetaGrid2D is one release's noised strategy: the layout plus its oracles.
 type thetaGrid2D struct {
 	thetaLayout2D
-	external *grid2DStrategy
+	external []mech.Oracle      // red-lattice line oracles (see gridNoise)
 	rowBands []*mech.PriveletKd // band b covers rows [b·cell, …]
 	colBands []*mech.PriveletKd
 }
@@ -183,15 +188,6 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 	return p.sign * total
 }
 
-// thetaQueryPlan is one query's precompiled decomposition: the external
-// red-lattice rectangle (when nonempty) and the signed internal pieces.
-type thetaQueryPlan struct {
-	rq             workload.RangeKd
-	hasExt         bool
-	a1, a2, b1, b2 int
-	pieces         []piece
-}
-
 // ThetaGridRange2D returns the Theorem 5.6 algorithm for 2-D range queries
 // under G^θ_{k²}.
 func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
@@ -218,42 +214,39 @@ func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Wor
 	if err != nil {
 		return nil, err
 	}
-	plans := make([]thetaQueryPlan, w.Len())
+	rects := make([]workload.RangeKd, w.Len())
+	lattice := make([]rect, w.Len())   // external red-lattice rectangle, empty when none
+	pieces := make([][]piece, w.Len()) // signed internal pieces
 	for i, q := range w.Queries {
 		rq, ok := q.(workload.RangeKd)
-		if !ok || len(rq.Lo) != 2 {
+		if !ok || len(rq.Lo) != 2 || len(rq.Hi) != 2 {
 			return nil, fmt.Errorf("strategy: ThetaGridRange2D wants 2-D RangeKd queries, got %T", q)
 		}
-		qr := rect{rq.Lo[0], rq.Hi[0], rq.Lo[1], rq.Hi[1]}
-		qp := &plans[i]
-		qp.rq = rq
-		qp.a1, qp.a2 = latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redRows)
-		qp.b1, qp.b2 = latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redCols)
-		qp.hasExt = qp.a1 <= qp.a2 && qp.b1 <= qp.b2
+		qr, err := gridRect(lay.rows, lay.cols, rq)
+		if err != nil {
+			return nil, err
+		}
+		rects[i] = rq
+		a1, a2 := latticeInterval(qr.r1, qr.r2, lay.cell, lay.rows, lay.redRows)
+		b1, b2 := latticeInterval(qr.c1, qr.c2, lay.cell, lay.cols, lay.redCols)
+		lattice[i] = rect{a1, a2, b1, b2}
 		if lay.cell > 1 {
-			qp.pieces = lay.internalPieces(qr)
+			pieces[i] = lay.internalPieces(qr)
 		}
 	}
 	compilations.Add(1)
-	rects := make([]workload.RangeKd, len(plans))
-	for i := range plans {
-		rects[i] = plans[i].rq
-	}
 	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
 	if err != nil {
 		return nil, err
 	}
+	ext := newGridNoise(lay.redRows, lay.redCols, mech.PriveletKind, lattice)
 	// noiseInto is the per-release oracle pass shared by the static answer
 	// and the streaming state (see range2d.go).
 	noiseInto := func(out []float64, eps float64, src *noise.Source) {
-		s := lay.noised(eps, src)
-		for i := range plans {
-			qp := &plans[i]
-			var n float64
-			if qp.hasExt {
-				n += s.external.queryNoise(qp.a1, qp.a2, qp.b1, qp.b2)
-			}
-			for _, p := range qp.pieces {
+		s := lay.noised(ext, eps, src)
+		for i := range out {
+			n := ext.query(s.external, i)
+			for _, p := range pieces[i] {
 				n += s.internalNoise(p)
 			}
 			out[i] += n
@@ -263,7 +256,7 @@ func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Wor
 		if err := checkDomain(w, x); err != nil {
 			return nil, err
 		}
-		out := make([]float64, len(plans))
+		out := make([]float64, len(rects))
 		truth.Apply(out, x)
 		noiseInto(out, eps, src)
 		return out, nil
