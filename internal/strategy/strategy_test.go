@@ -20,6 +20,11 @@ func randomX(rng *rand.Rand, k int) []float64 {
 	return x
 }
 
+// run releases workload w over database x once through alg.
+func run(alg Algorithm, w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
+	return alg.Run(w, x, eps, src)
+}
+
 // exactness asserts that an algorithm returns the true answers when eps <= 0
 // (the library-wide "no noise" convention): every strategy must be an
 // unbiased reconstruction.
