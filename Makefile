@@ -75,7 +75,8 @@ docs: lint
 	@missing="$$($(GO) list -f '{{if not .Doc}}{{.ImportPath}}{{end}}' ./internal/...)"; \
 	if [ -n "$$missing" ]; then \
 		echo "packages missing a package comment:" >&2; echo "$$missing" >&2; exit 1; fi
-	@echo "docs: all internal packages documented"
+	@sh scripts/check_md_refs.sh
+	@echo "docs: all internal packages documented, every *.md a .go file names is tracked"
 
 clean:
 	rm -f BENCH_*.fresh.json BENCH_smoke.json BENCH_eval.json

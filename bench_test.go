@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// (see the per-experiment index in DESIGN.md), plus ablations of the design
-// choices called out there. Each figure bench runs the corresponding
-// experiment at reduced-but-faithful sizes and reports the headline ratio
-// the paper's narrative rests on as a custom metric, so a regression in the
+// (the blowfishbench experiment ids listed in README.md, "Running
+// experiments"), plus ablations that pit a design choice against its simpler
+// alternative. Each figure bench runs the corresponding experiment at
+// reduced-but-faithful sizes and reports the headline ratio the paper's
+// narrative rests on as a custom metric, so a regression in the
 // *shape* of a result shows up as a metric change, not just a time change.
 //
 //	go test -bench=. -benchmem
@@ -249,7 +250,7 @@ func BenchmarkFig10SVD2D(b *testing.B) {
 	b.ReportMetric(ratio, "bounded/theta1")
 }
 
-// --- Ablations (design choices called out in DESIGN.md) ---
+// --- Ablations: each design choice against its simpler alternative ---
 
 // BenchmarkAblationTreeVsDenseTransform compares the O(k) subtree-sum
 // database transform against the dense pseudo-inverse on the same tree

@@ -174,7 +174,11 @@ func Answer(w *Workload, x []float64, p *Policy, eps float64, src *Source, opts 
 	if err != nil {
 		return nil, err
 	}
-	return alg.Run(w, x, eps, src)
+	prep, err := alg.Prepare(w)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Answer(x, eps, src)
 }
 
 // SelectAlgorithm returns the strategy Answer would use, exposed so callers

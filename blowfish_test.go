@@ -248,7 +248,11 @@ func TestOptimizeAlgorithmPublicAPI(t *testing.T) {
 	}
 	x := make([]float64, 12)
 	x[5] = 3
-	got, err := alg.Run(w, x, 0, NewSource(10))
+	prep, err := alg.Prepare(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := prep.Answer(x, 0, NewSource(10))
 	if err != nil {
 		t.Fatal(err)
 	}

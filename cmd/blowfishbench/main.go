@@ -1,7 +1,7 @@
 // Command blowfishbench regenerates the tables and figures of "Design of
 // Policy-Aware Differentially Private Algorithms" (Haney, Machanavajjhala,
-// Ding; VLDB 2016). Each experiment id names a paper artifact; see DESIGN.md
-// for the full index.
+// Ding; VLDB 2016). Each experiment id names a paper artifact; the full list
+// follows the usage examples below.
 //
 // Usage:
 //

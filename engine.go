@@ -188,10 +188,8 @@ func (e *Engine) treeArtifact(key treeKey) (*treeArtifact, error) {
 	return art, nil
 }
 
-// algorithm resolves the strategy branch for (w, opts) exactly as the
-// original SelectAlgorithm did, but with transform/spanner artifacts served
-// from the Engine cache. The returned Algorithm carries both the legacy
-// per-call Run and the compile-once Prepare.
+// algorithm resolves the strategy branch for (w, opts), with
+// transform/spanner artifacts served from the Engine cache.
 func (e *Engine) algorithm(w *Workload, opts Options) (Algorithm, error) {
 	if err := opts.validate(); err != nil {
 		return Algorithm{}, err

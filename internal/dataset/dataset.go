@@ -6,8 +6,8 @@
 // reports and the algorithms are sensitive to: domain size, scale (total
 // count) and the percentage of zero counts, with a clustered heavy-tailed
 // shape (Zipf mass over randomly placed clusters) typical of the originals.
-// DESIGN.md records the substitution and why it preserves the experimental
-// comparisons.
+// The mechanisms' relative errors depend on these statistics, not on the
+// individual records, so the experimental comparisons carry over.
 package dataset
 
 import (

@@ -86,23 +86,16 @@ func (o Options) normalize() Options {
 }
 
 // MeasureMSE runs the algorithm `runs` times and returns the average mean
-// squared error per query against the exact answers.
+// squared error per query against the exact answers: a one-cell grid run
+// serially, whose per-run streams are `runs` successive splits of src.
 func MeasureMSE(alg strategy.Algorithm, w *workload.Workload, x []float64, eps float64, runs int, src *noise.Source) (float64, error) {
-	truth := w.Answers(x)
-	var total float64
-	for r := 0; r < runs; r++ {
-		got, err := alg.Run(w, x, eps, src.Split())
-		if err != nil {
-			return 0, fmt.Errorf("eval: %s: %w", alg.Name, err)
-		}
-		var sq float64
-		for i, v := range got {
-			d := v - truth[i]
-			sq += d * d
-		}
-		total += sq / float64(len(truth))
+	g := newGrid(1, 1, Options{Runs: runs, Parallelism: 1})
+	g.add(0, 0, alg, w, x, w.Answers(x), eps, src)
+	out, err := g.run()
+	if err != nil {
+		return 0, err
 	}
-	return total / float64(runs), nil
+	return out[0][0], nil
 }
 
 // Table is a rendered experiment: one column per algorithm (or series), one

@@ -22,12 +22,9 @@ import (
 // identical for every Parallelism setting, including 1.
 
 // cell is one measurement: algorithm alg answering workload w on database x
-// at budget eps, with one pre-split noise stream per repetition.
-//
-// Algorithms that support the compile/run split are compiled once per cell
-// (guarded by prepOnce — whichever run unit arrives first pays for it) and
-// every repetition reuses the Prepared, instead of recompiling the strategy
-// per run as the original harness did. Outputs are bitwise unchanged;
+// at budget eps, with one pre-split noise stream per repetition. The
+// algorithm is compiled once per cell (guarded by prepOnce — whichever run
+// unit arrives first pays for it) and every repetition reuses the Prepared;
 // compilation does not touch the noise streams.
 type cell struct {
 	ri, ci  int
@@ -43,13 +40,8 @@ type cell struct {
 	prepErr  error
 }
 
-// prepared compiles the cell's algorithm for its workload once; it returns
-// (nil, nil) for algorithms without a compile phase (the DP baselines),
-// which then take the legacy per-run path.
+// prepared compiles the cell's algorithm for its workload once.
 func (c *cell) prepared() (*strategy.Prepared, error) {
-	if c.alg.Prepare == nil {
-		return nil, nil
-	}
 	c.prepOnce.Do(func() {
 		c.prep, c.prepErr = c.alg.Prepare(c.w)
 	})
@@ -77,8 +69,7 @@ func newGrid(rows, cols int, opts Options) *grid {
 
 // add registers the cell at (ri, ci). cellSrc is the cell's own stream (the
 // caller splits it off the experiment source in serial order); the per-run
-// streams are derived from it immediately, exactly as the serial MeasureMSE
-// would.
+// streams are derived from it immediately.
 func (g *grid) add(ri, ci int, alg strategy.Algorithm, w *workload.Workload, x, truth []float64, eps float64, cellSrc *noise.Source) {
 	if ri >= g.rows {
 		g.rows = ri + 1
@@ -120,11 +111,7 @@ func (g *grid) run() ([][]float64, error) {
 		var got []float64
 		prep, err := c.prepared()
 		if err == nil {
-			if prep != nil {
-				got, err = prep.Answer(c.x, c.eps, c.runSrcs[r])
-			} else {
-				got, err = c.alg.Run(c.w, c.x, c.eps, c.runSrcs[r])
-			}
+			got, err = prep.Answer(c.x, c.eps, c.runSrcs[r])
 		}
 		if err != nil {
 			return fmt.Errorf("eval: %s: %w", c.alg.Name, err)

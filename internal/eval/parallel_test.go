@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/strategy"
 	"github.com/privacylab/blowfish/internal/workload"
 )
@@ -114,20 +113,40 @@ func TestFig10DeterministicUnderParallelism(t *testing.T) {
 }
 
 // TestGridPropagatesAlgorithmErrors ensures a failing cell surfaces its
-// error (wrapped with the algorithm name) instead of a partial table.
+// error (wrapped with the algorithm name) instead of a partial table, both
+// when the algorithm fails to compile and when a release fails.
 func TestGridPropagatesAlgorithmErrors(t *testing.T) {
-	opts := Options{Runs: 2, Queries: 20, Seed: 1, Parallelism: 4}
-	w := workload.Identity(8)
-	x := make([]float64, 8)
-	boom := contender{alg: strategy.Algorithm{
-		Name: "exploder",
-		Run: func(*workload.Workload, []float64, float64, *noise.Source) ([]float64, error) {
-			return nil, errors.New("kaboom")
-		},
-	}}
-	_, err := runContenders("t", "m", []contender{boom}, []string{"r0"},
-		func(int) (*workload.Workload, []float64, error) { return w, x, nil }, 1, opts)
-	if err == nil || !strings.Contains(err.Error(), "exploder") || !strings.Contains(err.Error(), "kaboom") {
-		t.Fatalf("error %v should name the failing algorithm and cause", err)
+	w, x := workload.Identity(8), make([]float64, 8)
+	for _, tc := range []struct {
+		name  string
+		alg   strategy.Algorithm
+		cause string
+	}{
+		{"prepare", strategy.Algorithm{
+			Name: "exploder",
+			Prepare: func(*workload.Workload) (*strategy.Prepared, error) {
+				return nil, errors.New("kaboom")
+			},
+		}, "kaboom"},
+		// Compiled for a 9-value domain, every release over the 8-value
+		// database fails.
+		{"release", strategy.Algorithm{
+			Name: "wrong-domain",
+			Prepare: func(*workload.Workload) (*strategy.Prepared, error) {
+				return strategy.DPLaplaceHist().Prepare(workload.Identity(9))
+			},
+		}, "database size 8"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := Options{Runs: 2, Queries: 20, Seed: 1, Parallelism: 4}
+			tab, err := runContenders("t", "m", []contender{{alg: tc.alg}}, []string{"r0"},
+				func(int) (*workload.Workload, []float64, error) { return w, x, nil }, 1, opts)
+			if err == nil || !strings.Contains(err.Error(), tc.alg.Name) || !strings.Contains(err.Error(), tc.cause) {
+				t.Fatalf("error %v should name the failing algorithm and cause", err)
+			}
+			if tab != nil {
+				t.Fatalf("a failing cell should return no table, got %+v", tab)
+			}
+		})
 	}
 }

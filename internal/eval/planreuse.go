@@ -13,10 +13,11 @@ import (
 )
 
 // PlanReuseExperiment measures the compile-once payoff of the Engine/Plan
-// refactor on the Figure 3 row-1 setting (random 1-D ranges under the line
-// policy G¹_k): the legacy path rebuilds the policy transform, support
-// index and per-query coefficients on every release, while the prepared
-// path compiles them once and runs only the noise-and-reconstruct hot path.
+// split on the Figure 3 row-1 setting (random 1-D ranges under the line
+// policy G¹_k): the "legacy" column compiles afresh for every release, as
+// blowfish.Answer does (core.New, then CompileTree, then Answer), while the
+// prepared path compiles once and runs only the noise-and-reconstruct hot
+// path.
 // Both paths consume identical pre-split noise streams, and the experiment
 // fails if any release pair is not bitwise identical — so every benchmark
 // run doubles as an end-to-end equivalence check.
@@ -48,8 +49,11 @@ func PlanReuseExperiment(opts Options) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		alg := strategy.TreePolicy("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, strategy.Config{})
-		return alg.Run(w, x, eps, s)
+		prep, err := strategy.CompileTree("blowfish(tree)", tr, 1, strategy.LaplaceEstimator, w, strategy.Config{})
+		if err != nil {
+			return nil, err
+		}
+		return prep.Answer(x, eps, s)
 	}
 
 	start := time.Now()

@@ -17,23 +17,23 @@ import (
 // the partition budget is wasted on a noisy partition, the degradation the
 // paper observes in Figures 8–9.
 //
-// Compared with the published DAWA we simplify stage 1 (DESIGN.md records
-// the substitution): instead of perturbing every interval cost
-// independently, stage 1 buys one ε₁-DP noisy histogram and evaluates all
-// interval costs on it — subsequent cost evaluation and the dynamic program
-// are post-processing, so stage 1 is ε₁-DP by construction and avoids the
-// selection bias of minimizing over thousands of independently-noised
-// costs. The cost of a bucket of length L is the exact expected squared
-// error of estimating it uniformly from one noisy total: its squared
-// deviation from uniformity (estimated on the noisy histogram and debiased
-// by the expected noise contribution (L−1)·2/ε₁²) plus the spread stage-2
-// noise 2/(ε₂²·L). DAWA states the same objective in L1 units; the squared
-// form makes spikes several standard deviations more salient against
-// stage-1 noise, which matters because the dynamic program minimizes over
-// thousands of candidates. Candidates are intervals of dyadic length at
-// every offset, as in the DAWA implementation. Stage 2 is ε₂-DP by parallel
-// composition over disjoint buckets; interval queries are answered from the
-// bucketized estimate (we omit DAWA's final workload-aware hierarchy).
+// Compared with the published DAWA we simplify stage 1: instead of
+// perturbing every interval cost independently, stage 1 buys one ε₁-DP noisy
+// histogram and evaluates all interval costs on it — subsequent cost
+// evaluation and the dynamic program are post-processing, so stage 1 is
+// ε₁-DP by construction and avoids the selection bias of minimizing over
+// thousands of independently-noised costs. The cost of a bucket of length L
+// is the exact expected squared error of estimating it uniformly from one
+// noisy total: its squared deviation from uniformity (estimated on the noisy
+// histogram and debiased by the expected noise contribution (L−1)·2/ε₁²)
+// plus the spread stage-2 noise 2/(ε₂²·L). DAWA states the same objective in
+// L1 units; the squared form makes spikes several standard deviations more
+// salient against stage-1 noise, which matters because the dynamic program
+// minimizes over thousands of candidates. Candidates are intervals of dyadic
+// length at every offset, as in the DAWA implementation. Stage 2 is ε₂-DP by
+// parallel composition over disjoint buckets; interval queries are answered
+// from the bucketized estimate (we omit DAWA's final workload-aware
+// hierarchy).
 type DAWA struct {
 	est    []float64 // estimated histogram
 	prefix []float64 // prefix sums of est

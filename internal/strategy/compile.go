@@ -7,7 +7,6 @@ import (
 	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/par"
 	"github.com/privacylab/blowfish/internal/sparse"
-	"github.com/privacylab/blowfish/internal/workload"
 )
 
 // This file is the compile/run split behind the public Engine/Plan API. The
@@ -15,9 +14,7 @@ import (
 // spanners, transforms, layouts and per-query support sets depend only on
 // the (policy, workload) pair, never on the database or the noise. A
 // Prepared captures all of that once; its Answer runs only the
-// noise-and-reconstruct hot path, performing the same float operations in
-// the same order as the corresponding Algorithm.Run so outputs stay bitwise
-// identical to the per-call path.
+// noise-and-reconstruct hot path.
 
 // Prepared is a compiled, workload-bound strategy. It is immutable after
 // compilation: Answer is safe for concurrent use as long as each caller
@@ -84,26 +81,8 @@ func (p *Prepared) AnswerBatch(xs [][]float64, eps float64, srcs []*noise.Source
 }
 
 // compilations counts strategy compilations process-wide; plan-reuse tests
-// assert repeated Prepared.Answer calls leave it flat while the legacy
-// per-call path bumps it on every release.
+// assert repeated Prepared.Answer calls leave it flat.
 var compilations atomic.Int64
 
 // Compilations returns the number of strategy compilations so far.
 func Compilations() int64 { return compilations.Load() }
-
-// compiled assembles an Algorithm from its compile step: Prepare binds a
-// workload once, and the legacy Run recompiles on every call (the behavior
-// the original API had), so the two entry points cannot drift apart.
-func compiled(name string, prepare func(w *workload.Workload) (*Prepared, error)) Algorithm {
-	return Algorithm{
-		Name:    name,
-		Prepare: prepare,
-		Run: func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-			p, err := prepare(w)
-			if err != nil {
-				return nil, err
-			}
-			return p.Answer(x, eps, src)
-		},
-	}
-}

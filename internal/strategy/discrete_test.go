@@ -22,7 +22,7 @@ func TestGeometricEstimatorIntegerReleases(t *testing.T) {
 	alg := TreePolicy("geometric", tr, 1, GeometricEstimator, Config{})
 	rng := rand.New(rand.NewSource(1))
 	x := randomX(rng, k)
-	got, err := alg.Run(workload.Identity(k), x, 0.5, noise.NewSource(2))
+	got, err := run(alg, workload.Identity(k), x, 0.5, noise.NewSource(2))
 	if err != nil {
 		t.Fatal(err)
 	}

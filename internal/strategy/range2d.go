@@ -115,9 +115,9 @@ func GridPolicyRange2D(dims []int, kind mech.OracleKind, cfg Config) Algorithm {
 	case mech.HierKind:
 		name = "Transformed + Hierarchical"
 	}
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileGridRange2D(name, dims, kind, w, cfg)
-	})
+	}}
 }
 
 // CompileGridRange2D compiles the Theorem 5.4 strategy (d = 2) for one

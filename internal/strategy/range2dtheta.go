@@ -192,9 +192,9 @@ func (s *thetaGrid2D) internalNoise(p piece) float64 {
 // under G^θ_{k²}.
 func ThetaGridRange2D(dims []int, theta int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (theta=%d)", theta)
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileThetaGridRange2D(name, dims, theta, w, cfg)
-	})
+	}}
 }
 
 // CompileThetaGridRange2D compiles the Theorem 5.6 strategy for one

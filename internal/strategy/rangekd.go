@@ -121,9 +121,9 @@ func (s *gridKdStrategy) queryVariance(lo, hi []int) float64 {
 // range queries under G¹_{k^d}, for any d ≥ 1.
 func GridPolicyRangeKd(dims []int, cfg Config) Algorithm {
 	name := fmt.Sprintf("Transformed + Privelet (d=%d)", len(dims))
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileGridRangeKd(name, dims, w, cfg)
-	})
+	}}
 }
 
 // CompileGridRangeKd compiles the general-dimension Theorem 5.4 strategy

@@ -77,14 +77,14 @@ func TestGridPolicyRangeKdMatches2DSpecialization(t *testing.T) {
 
 func TestGridPolicyRangeKdRejectsBadInput(t *testing.T) {
 	alg := GridPolicyRangeKd([]int{4, 4}, Config{})
-	if _, err := alg.Run(workload.Identity(16), make([]float64, 16), 1, noise.NewSource(1)); err == nil {
+	if _, err := run(alg, workload.Identity(16), make([]float64, 16), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("non-range workload accepted")
 	}
-	if _, err := alg.Run(workload.AllRangesKd([]int{4, 4}), make([]float64, 15), 1, noise.NewSource(1)); err == nil {
+	if _, err := run(alg, workload.AllRangesKd([]int{4, 4}), make([]float64, 15), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}
 	alg1 := GridPolicyRangeKd([]int{1, 4}, Config{})
-	if _, err := alg1.Run(workload.AllRangesKd([]int{1, 4}), make([]float64, 4), 1, noise.NewSource(1)); err == nil {
+	if _, err := run(alg1, workload.AllRangesKd([]int{1, 4}), make([]float64, 4), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("dimension of size 1 accepted")
 	}
 }

@@ -45,14 +45,10 @@ import (
 // list of Algorithms side by side. The convention eps <= 0 means "no noise";
 // tests use it to check that every algorithm is exact modulo its noise.
 //
-// Run recompiles the strategy on every call — the original per-call
-// behavior, kept for compatibility. Prepare, when non-nil, compiles the
-// strategy for a workload once; the returned Prepared answers repeated
-// releases (bitwise identically to Run) without recompiling, and is what
-// the public Engine/Plan API and the experiment grid use.
+// Prepare compiles the strategy for a workload once; the returned Prepared
+// answers each release. It is the only way to run an Algorithm.
 type Algorithm struct {
 	Name    string
-	Run     func(w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error)
 	Prepare func(w *workload.Workload) (*Prepared, error)
 }
 
@@ -92,21 +88,21 @@ func DawaConsistentEstimator(xg []float64, eps float64, src *noise.Source) []flo
 // 1 when the tree is the policy itself), and evaluate each transformed query
 // against the estimate plus the Lemma 4.10 constant correction.
 func TreePolicy(name string, tr *core.Transform, stretch int, est Estimator, cfg Config) Algorithm {
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileTree(name, tr, stretch, est, w, cfg)
-	})
+	}}
 }
 
 // CompileTree compiles the Theorem 4.3 tree strategy for one workload: the
 // per-query transformed supports and alias corrections are computed once, so
 // the hot path is only x_G (O(k) over the memoized layout), one estimator
 // call, and an O(nnz) operator application. The reconstruction matrix (one
-// row per query, one column per edge, entries in support-discovery order so
-// the float accumulation matches the per-call path bitwise) is kept as CSR
-// when its density is below sparse.DefaultMaxDensity and materialized dense
-// otherwise. Past the cfg sharding threshold the rows are built as
-// per-query-block compile work items on the pool and concatenated — a
-// byte-identical CSR, so answers never depend on the block size.
+// row per query, one column per edge, entries in support-discovery order,
+// which fixes the float accumulation order) is kept as CSR when its density
+// is below sparse.DefaultMaxDensity and materialized dense otherwise. Past
+// the cfg sharding threshold the rows are built as per-query-block compile
+// work items on the pool and concatenated — a byte-identical CSR, so answers
+// never depend on the block size.
 func CompileTree(name string, tr *core.Transform, stretch int, est Estimator, w *workload.Workload, cfg Config) (*Prepared, error) {
 	return compileTree(name, tr, stretch, est, w, cfg, func(c *sparse.CSR) sparse.Operator {
 		if c.Density() < sparse.DefaultMaxDensity {

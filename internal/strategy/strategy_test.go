@@ -20,9 +20,13 @@ func randomX(rng *rand.Rand, k int) []float64 {
 	return x
 }
 
-// run releases workload w over database x once through alg.
+// run compiles alg for workload w and releases it once over database x.
 func run(alg Algorithm, w *workload.Workload, x []float64, eps float64, src *noise.Source) ([]float64, error) {
-	return alg.Run(w, x, eps, src)
+	prep, err := alg.Prepare(w)
+	if err != nil {
+		return nil, err
+	}
+	return prep.Answer(x, eps, src)
 }
 
 // exactness asserts that an algorithm returns the true answers when eps <= 0
@@ -30,7 +34,7 @@ func run(alg Algorithm, w *workload.Workload, x []float64, eps float64, src *noi
 // unbiased reconstruction.
 func exactness(t *testing.T, alg Algorithm, w *workload.Workload, x []float64) {
 	t.Helper()
-	got, err := alg.Run(w, x, 0, noise.NewSource(1))
+	got, err := run(alg, w, x, 0, noise.NewSource(1))
 	if err != nil {
 		t.Fatalf("%s: %v", alg.Name, err)
 	}
@@ -128,6 +132,38 @@ func TestBaselinesExact(t *testing.T) {
 	exactness(t, DPDawaRange1D(), workload.AllRanges1D(16), xs)
 }
 
+// TestBaselinesRejectBadInputAtPrepare checks that every DP baseline fails
+// at compile time, not at release, on a workload of the wrong query type or
+// an unsupported grid.
+func TestBaselinesRejectBadInputAtPrepare(t *testing.T) {
+	points, ranges := workload.Identity(16), workload.AllRanges1D(16)
+	rects := workload.AllRangesKd([]int{4, 4})
+	for _, tc := range []struct {
+		name string
+		alg  func() Algorithm
+		w    *workload.Workload
+	}{
+		{"laplace/ranges", DPLaplaceHist, ranges},
+		{"privelet1d/points", DPPriveletRange1D, points},
+		{"dawa1d/rects", DPDawaRange1D, rects},
+		{"dawahist/ranges", DPDawaHist, ranges},
+		{"priveletkd/ranges", func() Algorithm { return DPPriveletRangeKd([]int{4, 4}) }, ranges},
+		{"dawakd/points", func() Algorithm { return DPDawaRangeKd([]int{4, 4}) }, points},
+		{"dawakd/3d", func() Algorithm { return DPDawaRangeKd([]int{4, 4, 4}) }, workload.AllRangesKd([]int{4, 4, 4})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			if _, err := tc.alg().Prepare(tc.w); err == nil {
+				t.Fatal("Prepare accepted the workload")
+			}
+		})
+	}
+}
+
 func TestSnakeIndexBijective(t *testing.T) {
 	cols := 7
 	seen := map[int]bool{}
@@ -169,7 +205,7 @@ func TestTreePolicyRejectsNonTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := TreePolicy("bad", tr, 1, LaplaceEstimator, Config{})
-	if _, err := alg.Run(workload.Identity(9), make([]float64, 9), 1, noise.NewSource(1)); err == nil {
+	if _, err := run(alg, workload.Identity(9), make([]float64, 9), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("non-tree policy accepted by TreePolicy")
 	}
 }
@@ -180,7 +216,7 @@ func TestTreePolicyDomainMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	alg := TreePolicy("line", tr, 1, LaplaceEstimator, Config{})
-	if _, err := alg.Run(workload.Identity(9), make([]float64, 8), 1, noise.NewSource(1)); err == nil {
+	if _, err := run(alg, workload.Identity(9), make([]float64, 8), 1, noise.NewSource(1)); err == nil {
 		t.Fatal("domain mismatch accepted")
 	}
 }
@@ -226,7 +262,7 @@ func measureMSE(t *testing.T, alg Algorithm, w *workload.Workload, x []float64, 
 	src := noise.NewSource(seed)
 	var total float64
 	for i := 0; i < runs; i++ {
-		got, err := alg.Run(w, x, eps, src.Split())
+		got, err := run(alg, w, x, eps, src.Split())
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -124,9 +124,9 @@ type edgeRun struct {
 // "Transformed + Laplace" experimental variant but served group-wise).
 func ThetaLineGrouped(k, theta int, kind mech.OracleKind) Algorithm {
 	name := fmt.Sprintf("ThetaLine(%s)", oracleKindName(kind))
-	return compiled(name, func(w *workload.Workload) (*Prepared, error) {
+	return Algorithm{Name: name, Prepare: func(w *workload.Workload) (*Prepared, error) {
 		return CompileThetaLineGrouped(name, k, theta, kind, w)
-	})
+	}}
 }
 
 // CompileThetaLineGrouped compiles the Theorem 5.5 strategy for one
