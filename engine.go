@@ -38,8 +38,8 @@ type EngineOptions struct {
 	// worker count; smaller domains keep the exact pre-sharding path. A
 	// value n >= 1 forces blocks of at most n cells (grid domains round to
 	// whole dim-0 slices); n < 0 disables sharding entirely. Streams opened
-	// from a sharded plan maintain per-block summed-area tables, capping
-	// Stream.Apply patch cost at the block size instead of the domain size.
+	// from a sharded plan run their dense fallback through the blocked
+	// operator; their per-cell patches never touch the domain.
 	ShardBlock int
 }
 

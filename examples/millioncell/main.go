@@ -10,10 +10,11 @@
 // count histograms used here, exactly equal to the unsharded engine, which
 // this program verifies side by side.
 //
-// Streams opened on the sharded plan maintain one summed-area table per
-// slab, so a single-cell delta patches at most one slab (o(k) per delta)
-// where the global table pays up to the full suffix box; the timing printed
-// at the end shows the gap.
+// A stream maintains the workload's exact answers, so a single-cell delta
+// touches only the queries whose rectangles contain the cell — O(queries),
+// independent of the million cells — where a dense recompute re-evaluates
+// the blocked truth operator over the whole domain; the timing printed at
+// the end shows the gap.
 //
 //	go run ./examples/millioncell
 //	SIDE=256 go run ./examples/millioncell   # smaller domain, same path
@@ -91,30 +92,36 @@ func main() {
 	}
 	fmt.Println("sharded answers identical to the unsharded engine, noise included")
 
-	// Streaming: the blocked per-slab tables cap every patch at one slab.
+	// Streaming: deltas patch the maintained answers; a dense recompute
+	// rebuilds them from the histogram and must land on the same values.
 	st, err := engine.OpenStream(plan, x, blowfish.StreamOptions{})
 	if err != nil {
 		panic(err)
 	}
-	stMono, err := mono.OpenStream(monoPlan, x, blowfish.StreamOptions{})
+	const deltas = 32
+	start = time.Now()
+	for i := 0; i < deltas; i++ {
+		if err := st.Apply(blowfish.Delta{Cells: []int{data.Intn(k)}, Values: []float64{1}}); err != nil {
+			panic(err)
+		}
+	}
+	deltaSec := time.Since(start).Seconds() / deltas
+	patched, err := st.Answer(0, blowfish.NewSource(1))
 	if err != nil {
 		panic(err)
 	}
-	const deltas = 32
-	var shardSec, monoSec float64
-	for i := 0; i < deltas; i++ {
-		d := blowfish.Delta{Cells: []int{data.Intn(k)}, Values: []float64{1}}
-		t0 := time.Now()
-		if err := st.Apply(d); err != nil {
-			panic(err)
-		}
-		shardSec += time.Since(t0).Seconds()
-		t0 = time.Now()
-		if err := stMono.Apply(d); err != nil {
-			panic(err)
-		}
-		monoSec += time.Since(t0).Seconds()
+	start = time.Now()
+	st.Recompute()
+	recomputeSec := time.Since(start).Seconds()
+	rebuilt, err := st.Answer(0, blowfish.NewSource(1))
+	if err != nil {
+		panic(err)
 	}
-	fmt.Printf("stream deltas: blocked tables %.2f ms/delta vs global table %.2f ms/delta (%.1fx)\n",
-		1e3*shardSec/deltas, 1e3*monoSec/deltas, monoSec/shardSec)
+	for i := range rebuilt {
+		if patched[i] != rebuilt[i] {
+			panic(fmt.Sprintf("query %d: patched %v != recomputed %v", i, patched[i], rebuilt[i]))
+		}
+	}
+	fmt.Printf("stream deltas: %.3f ms/delta incremental vs %.1f ms per dense recompute (%.0fx)\n",
+		1e3*deltaSec, 1e3*recomputeSec, recomputeSec/deltaSec)
 }

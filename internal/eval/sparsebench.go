@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"time"
 
 	"github.com/privacylab/blowfish/internal/core"
@@ -28,7 +29,13 @@ const sparseBenchQueries = 2000
 // experiment fails if any release pair drifts beyond 1e-9, so every
 // benchmark run doubles as an equivalence check. Cells are wall-clock
 // seconds per release plus the resulting speedup.
+//
+// The experiment runs at GOMAXPROCS=1 whatever the environment, restoring
+// the setting on return: the dense side gains far more from extra cores
+// than the sparse side, so their ratio would otherwise track the host's
+// core count rather than the operator layer.
 func SparseAnswerExperiment(opts Options) (*Table, error) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	opts = opts.normalize()
 	base := 4096 / opts.DomainScale
 	if base < 64 {

@@ -34,7 +34,10 @@ const (
 	// snapMagic identifies snapshot files; the trailing two bytes are the
 	// format version. A future incompatible format bumps them, and readers
 	// reject the skew with ErrCorruptSnapshot instead of misparsing.
-	snapMagic = "BFSNAP01"
+	// Version 02 stores range-strategy streams as their exact answer vector;
+	// version 01 stored a summed-area table of the same float type, which
+	// must never be read as answers.
+	snapMagic = "BFSNAP02"
 	// walMagic likewise identifies and versions WAL files.
 	walMagic = "BFWAL001"
 
@@ -83,6 +86,10 @@ func DecodeSnapshot(b []byte) ([]byte, error) {
 	}
 	if string(b[:6]) != snapMagic[:6] {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSnapshot, b[:6])
+	}
+	if string(b[6:8]) == "01" {
+		return nil, fmt.Errorf("%w: snapshot version \"01\" was written by an older daemon whose grid and θ-line streams hold summed-area tables, not answers (want version %q)",
+			ErrCorruptSnapshot, snapMagic[6:8])
 	}
 	if string(b[6:8]) != snapMagic[6:8] {
 		return nil, fmt.Errorf("%w: unsupported snapshot version %q (want %q)", ErrCorruptSnapshot, b[6:8], snapMagic[6:8])

@@ -3,9 +3,12 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -242,6 +245,71 @@ func TestRecoverRejectsRetiredOp(t *testing.T) {
 		t.Fatalf("Recover over a charge record: err = %v, want one naming the op", err)
 	}
 	if code, _ := do(t, s, "GET", "/readyz", nil); code != http.StatusServiceUnavailable {
+		t.Fatalf("readyz after failed recovery: %d, want 503", code)
+	}
+}
+
+// TestRecoverRejectsSummedAreaSnapshot pins the snapshot format bump: a
+// version-01 snapshot, whose grid streams hold a k-entry summed-area table,
+// fails Recover by version even when k equals the query count, so the
+// table can never be restored as the stream's answers.
+func TestRecoverRejectsSummedAreaSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	s := New(durable(dir, nil))
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	// A 2x2 grid with 4 rectangles: k == q, so the table's length matches.
+	req := UpdateRequest{Tenant: "t", Policy: PolicySpec{Kind: "grid", K: 2},
+		Workload: WorkloadSpec{Kind: "rects", Rects: []RectSpec{
+			{Lo: []int{0, 0}, Hi: []int{0, 0}}, {Lo: []int{0, 0}, Hi: []int{1, 1}},
+			{Lo: []int{1, 0}, Hi: []int{1, 1}}, {Lo: []int{0, 1}, Hi: []int{1, 1}}}},
+		Base: []float64{1, 2, 3, 4}}
+	if code, body := do(t, s, "POST", "/v1/update", mustJSON(req)); code != http.StatusOK {
+		t.Fatalf("open stream: %d %s", code, body)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Rewrite the final snapshot as the previous version would have: the
+	// stream's artifacts are the summed-area table, framed as version 01.
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snapPath string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".snap") {
+			snapPath = filepath.Join(dir, e.Name())
+		}
+	}
+	img, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, err := persist.DecodeSnapshot(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var data snapshotData
+	if err := json.Unmarshal(payload, &data); err != nil {
+		t.Fatal(err)
+	}
+	if len(data.Streams) != 1 || len(data.Streams[0].State.Artifacts) != 4 {
+		t.Fatalf("snapshot streams %+v, want one stream with 4 artifacts", data.Streams)
+	}
+	data.Streams[0].State.Artifacts = []float64{1, 3, 4, 10}
+	old := persist.EncodeSnapshot(mustJSON(data))
+	copy(old[6:8], "01")
+	if err := os.WriteFile(snapPath, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := New(durable(dir, nil))
+	err = r.Recover()
+	if !errors.Is(err, persist.ErrCorruptSnapshot) || !strings.Contains(err.Error(), `version "01"`) {
+		t.Fatalf("Recover over a version-01 snapshot: err = %v, want one naming the version", err)
+	}
+	if code, _ := do(t, r, "GET", "/readyz", nil); code != http.StatusServiceUnavailable {
 		t.Fatalf("readyz after failed recovery: %d, want 503", code)
 	}
 }

@@ -634,7 +634,11 @@ func (ps PolicySpec) build() (*blowfish.Policy, error) {
 	}
 }
 
-func (ws WorkloadSpec) build(k int) (*blowfish.Workload, error) {
+// build resolves the workload against the policy it will be compiled for.
+// Rectangles carry the policy's dims (a single {k} dimension for policies
+// without a shape), so RangeKd.Coeff and Eval index the right grid.
+func (ws WorkloadSpec) build(p *blowfish.Policy) (*blowfish.Workload, error) {
+	k := p.K
 	switch ws.Kind {
 	case "histogram":
 		return blowfish.Histogram(k), nil
@@ -659,12 +663,24 @@ func (ws WorkloadSpec) build(k int) (*blowfish.Workload, error) {
 		if len(ws.Rects) == 0 {
 			return nil, invalid("workload \"rects\" needs at least one rectangle")
 		}
+		dims := p.Dims
+		if len(dims) == 0 {
+			dims = []int{k}
+		}
 		w := &blowfish.Workload{Name: "rects", K: k}
 		for i, r := range ws.Rects {
 			if len(r.Lo) == 0 || len(r.Lo) != len(r.Hi) {
 				return nil, invalid("rect %d has mismatched lo/hi arity", i)
 			}
-			w.Queries = append(w.Queries, blowfish.RangeKd{Lo: r.Lo, Hi: r.Hi})
+			if len(r.Lo) != len(dims) {
+				return nil, invalid("rect %d has %d coordinates, policy domain %v has %d", i, len(r.Lo), dims, len(dims))
+			}
+			for t, d := range dims {
+				if r.Lo[t] < 0 || r.Hi[t] < r.Lo[t] || r.Hi[t] >= d {
+					return nil, invalid("rect %d [%v, %v] out of domain %v", i, r.Lo, r.Hi, dims)
+				}
+			}
+			w.Queries = append(w.Queries, blowfish.RangeKd{Dims: dims, Lo: r.Lo, Hi: r.Hi})
 		}
 		return w, nil
 	default:
@@ -749,7 +765,7 @@ func (s *Server) plan(key string, pol PolicySpec, wl WorkloadSpec, o OptionsSpec
 		if err != nil {
 			return nil, err
 		}
-		w, err := wl.build(eng.Policy().K)
+		w, err := wl.build(eng.Policy())
 		if err != nil {
 			return nil, err
 		}

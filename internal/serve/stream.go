@@ -5,8 +5,8 @@ package serve
 // /v1/answer with "stream": true releases over that maintained state. An
 // update refreshes the cached plan's stream through the single-flight LRU
 // instead of dropping the cache entry, so the expensive strategy compile
-// survives data churn: a delta costs O(path depth) or O(dirty suffix box)
-// per cell (with the library's dense-recompute fallback), not a recompile.
+// survives data churn: a delta costs O(path depth) or O(queries) per cell
+// (with the library's dense-recompute fallback), not a recompile.
 //
 // Updates are admission-checked — the tenant must pass the rate limiter and
 // the delta is validated against the plan's domain before anything mutates —

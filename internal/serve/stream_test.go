@@ -245,3 +245,158 @@ func TestRateLimiterDefaults(t *testing.T) {
 		t.Fatalf("default burst %g, want at least 1", rl.burst)
 	}
 }
+
+// rectSum is the exact sum of x over an inclusive box on a row-major grid,
+// walked cell by cell.
+func rectSum(dims []int, x []float64, lo, hi []int) float64 {
+	var s float64
+	coord := make([]int, len(dims))
+	for cell := range x {
+		rem := cell
+		for t := len(dims) - 1; t >= 0; t-- {
+			coord[t] = rem % dims[t]
+			rem /= dims[t]
+		}
+		inside := true
+		for t, c := range coord {
+			if c < lo[t] || c > hi[t] {
+				inside = false
+			}
+		}
+		if inside {
+			s += x[cell]
+		}
+	}
+	return s
+}
+
+// TestServedRectsCarryPolicyDims checks that a served "rects" workload is
+// built on the policy's grid: RangeKd.Coeff and Eval must match the exact
+// rectangle sums, not treat every cell as inside.
+func TestServedRectsCarryPolicyDims(t *testing.T) {
+	cases := []struct {
+		pol   PolicySpec
+		dims  []int
+		rects []RectSpec
+	}{
+		{PolicySpec{Kind: "grid", K: 5}, []int{5, 5},
+			[]RectSpec{{Lo: []int{1, 2}, Hi: []int{3, 2}}, {Lo: []int{0, 0}, Hi: []int{4, 4}}, {Lo: []int{4, 1}, Hi: []int{4, 3}}}},
+		{PolicySpec{Kind: "distance", Dims: []int{3, 4, 2}, Theta: 1}, []int{3, 4, 2},
+			[]RectSpec{{Lo: []int{0, 1, 1}, Hi: []int{2, 2, 1}}, {Lo: []int{1, 0, 0}, Hi: []int{1, 3, 1}}}},
+		{PolicySpec{Kind: "line", K: 9}, []int{9}, []RectSpec{{Lo: []int{2}, Hi: []int{6}}}},
+	}
+	for _, tc := range cases {
+		p, err := tc.pol.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := WorkloadSpec{Kind: "rects", Rects: tc.rects}.build(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, p.K)
+		for i := range x {
+			x[i] = float64(i*i%7 + 1)
+		}
+		for i, q := range w.Queries {
+			r := tc.rects[i]
+			for cell := range x {
+				unit := make([]float64, p.K)
+				unit[cell] = 1
+				if got, want := q.Coeff(cell), rectSum(tc.dims, unit, r.Lo, r.Hi); got != want {
+					t.Fatalf("%s rect %d: Coeff(%d) = %v, want %v", tc.pol.Kind, i, cell, got, want)
+				}
+			}
+			if got, want := q.Eval(x), rectSum(tc.dims, x, r.Lo, r.Hi); got != want {
+				t.Fatalf("%s rect %d: Eval = %v, want %v", tc.pol.Kind, i, got, want)
+			}
+		}
+	}
+	// A rectangle whose arity or extent disagrees with the policy is refused.
+	p, err := PolicySpec{Kind: "grid", K: 4}.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range []RectSpec{{Lo: []int{0}, Hi: []int{1}}, {Lo: []int{0, 0}, Hi: []int{4, 1}}, {Lo: []int{2, 0}, Hi: []int{1, 1}}} {
+		if _, err := (WorkloadSpec{Kind: "rects", Rects: []RectSpec{r}}).build(p); err == nil {
+			t.Fatalf("rect %v on a 4x4 grid: want an error", r)
+		}
+	}
+}
+
+// TestStreamRectsMatchExactSums drives a grid rectangle stream over the wire,
+// monolithic and with a forced 2-row shard block: after update batches with
+// repeated cells (patched) and a full-domain batch (dense recompute), every
+// ε=0 stream answer must equal the exact rectangle sums of base plus deltas.
+func TestStreamRectsMatchExactSums(t *testing.T) {
+	const side = 8
+	dims := []int{side, side}
+	pol := PolicySpec{Kind: "grid", K: side}
+	rects := []RectSpec{
+		{Lo: []int{0, 0}, Hi: []int{7, 7}}, {Lo: []int{1, 2}, Hi: []int{5, 6}},
+		{Lo: []int{3, 3}, Hi: []int{3, 3}}, {Lo: []int{0, 4}, Hi: []int{6, 4}},
+		{Lo: []int{6, 0}, Hi: []int{7, 3}}, {Lo: []int{2, 1}, Hi: []int{4, 7}},
+	}
+	wl := WorkloadSpec{Kind: "rects", Rects: rects}
+	for _, shardBlock := range []int{-1, 2 * side} {
+		s := New(Config{Seed: 9})
+		ekey, err := engineKey(pol)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := s.engines.getOrCreate(ekey, func() (*blowfish.Engine, error) {
+			return blowfish.Open(blowfish.GridPolicy(side), blowfish.EngineOptions{ShardBlock: shardBlock})
+		}); err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, side*side)
+		for i := range x {
+			x[i] = float64(i % 5)
+		}
+		all := make([]int, len(x))
+		ones := make([]float64, len(x))
+		for i := range all {
+			all[i], ones[i] = i, 1
+		}
+		batches := []DeltaSpec{
+			{Cells: []int{27, 27, 0}, Values: []float64{2, 3, -1}},
+			{Cells: []int{63, 9, 63, 27}, Values: []float64{1, 4, 5, -2}},
+			{Cells: all, Values: ones},
+			{Cells: []int{36, 36}, Values: []float64{7, -3}},
+		}
+		base := append([]float64(nil), x...)
+		var ur UpdateResponse
+		for b, d := range batches {
+			req := UpdateRequest{Tenant: "t", Policy: pol, Workload: wl, Delta: d}
+			if b == 0 {
+				req.Base = base
+			}
+			rec := postPath(t, s, "/v1/update", mustJSON(req))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shard block %d update %d: %d (%s)", shardBlock, b, rec.Code, rec.Body.String())
+			}
+			if err := json.Unmarshal(rec.Body.Bytes(), &ur); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range d.Cells {
+				x[c] += d.Values[i]
+			}
+			rec = postPath(t, s, "/v1/answer", mustJSON(AnswerRequest{Tenant: "t", Policy: pol, Workload: wl, Stream: true}))
+			if rec.Code != http.StatusOK {
+				t.Fatalf("shard block %d answer %d: %d (%s)", shardBlock, b, rec.Code, rec.Body.String())
+			}
+			var ar AnswerResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &ar); err != nil {
+				t.Fatal(err)
+			}
+			for i, r := range rects {
+				if want := rectSum(dims, x, r.Lo, r.Hi); ar.Answers[i] != want {
+					t.Fatalf("shard block %d after update %d: answer[%d] = %v, want exact sum %v", shardBlock, b, i, ar.Answers[i], want)
+				}
+			}
+		}
+		if ur.Patches == 0 || ur.Recomputes == 0 {
+			t.Fatalf("shard block %d: refresh counters %+v, want both patches and a dense recompute", shardBlock, ur)
+		}
+	}
+}

@@ -12,7 +12,7 @@ import (
 
 // ShardBenchOptions sizes the domain-sharding experiment.
 type ShardBenchOptions struct {
-	// Seed makes histograms, workloads, and delta schedules deterministic.
+	// Seed makes histograms and workloads deterministic.
 	Seed int64
 	// GridSides are the side lengths of the side×side grid scenarios.
 	GridSides []int
@@ -26,21 +26,19 @@ type ShardBenchOptions struct {
 	TreeQueries int
 	// Runs is how many timed repetitions each measurement averages over.
 	Runs int
-	// Deltas is how many single-cell stream deltas each grid scenario times.
-	Deltas int
 }
 
 // QuickShardBench returns test/CI-sized options.
 func QuickShardBench() ShardBenchOptions {
 	return ShardBenchOptions{Seed: 1, GridSides: []int{32, 64}, TreeDomains: []int{4096},
-		Queries: 200, TreeQueries: 400, Runs: 2, Deltas: 32}
+		Queries: 200, TreeQueries: 400, Runs: 2}
 }
 
 // DefaultShardBench returns the acceptance-scale options: the largest grid is
 // 1024×1024 — 1,048,576 cells, past the 10⁶-cell target.
 func DefaultShardBench() ShardBenchOptions {
 	return ShardBenchOptions{Seed: 1, GridSides: []int{512, 1024}, TreeDomains: []int{131072},
-		Queries: 500, TreeQueries: 4096, Runs: 3, Deltas: 64}
+		Queries: 500, TreeQueries: 4096, Runs: 3}
 }
 
 func (o ShardBenchOptions) normalize() ShardBenchOptions {
@@ -53,9 +51,6 @@ func (o ShardBenchOptions) normalize() ShardBenchOptions {
 	if o.Runs < 1 {
 		o.Runs = 1
 	}
-	if o.Deltas < 1 {
-		o.Deltas = 1
-	}
 	return o
 }
 
@@ -65,10 +60,6 @@ func (o ShardBenchOptions) normalize() ShardBenchOptions {
 //
 //   - Grid answers: the blocked reconstruction builds per-slab summed-area
 //     tables in parallel instead of one global table serially.
-//   - Grid stream deltas: the blocked SATState caps each patch at the owning
-//     slab's volume, where the global table pays the full suffix box (up to
-//     O(k)) or falls back to a dense rebuild — this row is the o(k)-per-delta
-//     property, and its speedup holds even on one CPU.
 //   - Tree compiles: per-query-block support discovery and row building fan
 //     out over the pool, concatenated into a byte-identical CSR.
 //
@@ -79,11 +70,10 @@ func (o ShardBenchOptions) normalize() ShardBenchOptions {
 func ShardExperiment(o ShardBenchOptions) ([]*eval.Table, error) {
 	o = o.normalize()
 	grid := &eval.Table{
-		Title: fmt.Sprintf("Domain sharding: grid answers and stream deltas, blocked vs monolithic (%d queries, %d deltas, %d runs)",
-			o.Queries, o.Deltas, o.Runs),
-		Metric: "seconds per operation (best of runs) / monolithic-vs-sharded speedup",
-		Columns: []string{"unsharded s/answer", "sharded s/answer", "answer speedup",
-			"unsharded s/delta", "sharded s/delta", "patch speedup"},
+		Title: fmt.Sprintf("Domain sharding: grid answers, blocked vs monolithic (%d queries, %d runs)",
+			o.Queries, o.Runs),
+		Metric:  "seconds per answer (best of runs) / monolithic-vs-sharded speedup",
+		Columns: []string{"unsharded s/answer", "sharded s/answer", "answer speedup"},
 	}
 	src := blowfish.NewSource(o.Seed + 1700)
 	for _, side := range o.GridSides {
@@ -165,48 +155,9 @@ func runGridShardScenario(t *eval.Table, side int, o ShardBenchOptions, src *blo
 		}
 	}
 
-	// Stream deltas through both maintained states: uniform random cells,
-	// where the global table's expected patch cost is O(k) and the blocked
-	// table's is capped at one slab.
-	stMono, err := engMono.OpenStream(plMono, x, blowfish.StreamOptions{})
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
-	}
-	stShard, err := engShard.OpenStream(plShard, x, blowfish.StreamOptions{})
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
-	}
-	var monoDeltaSec, shardDeltaSec float64
-	for i := 0; i < o.Deltas; i++ {
-		d := blowfish.Delta{Cells: []int{data.Intn(k)}, Values: []float64{math.Floor(data.Uniform()*5) + 1}}
-		start := time.Now()
-		if err := stMono.Apply(d); err != nil {
-			return fmt.Errorf("eval: shard bench %s delta %d: %w", label, i, err)
-		}
-		monoDeltaSec += time.Since(start).Seconds()
-		start = time.Now()
-		if err := stShard.Apply(d); err != nil {
-			return fmt.Errorf("eval: shard bench %s delta %d: %w", label, i, err)
-		}
-		shardDeltaSec += time.Since(start).Seconds()
-	}
-	check := blowfish.NewSource(1)
-	mono, err := stMono.AnswerWith(ctx, nil, 0, check)
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
-	}
-	shard, err := stShard.AnswerWith(ctx, nil, 0, blowfish.NewSource(1))
-	if err != nil {
-		return fmt.Errorf("eval: shard bench %s: %w", label, err)
-	}
-	if err := compareAnswers(label, "stream", 0, shard, mono); err != nil {
-		return err
-	}
-
 	t.Rows = append(t.Rows, label)
 	t.Cells = append(t.Cells, []float64{
 		monoSec, shardSec, ratio(monoSec, shardSec),
-		monoDeltaSec / float64(o.Deltas), shardDeltaSec / float64(o.Deltas), ratio(monoDeltaSec, shardDeltaSec),
 	})
 	return nil
 }

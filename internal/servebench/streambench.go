@@ -8,6 +8,7 @@ import (
 
 	blowfish "github.com/privacylab/blowfish"
 	"github.com/privacylab/blowfish/internal/eval"
+	"github.com/privacylab/blowfish/internal/sparse"
 )
 
 // StreamBenchOptions sizes the streaming-maintenance experiment.
@@ -33,10 +34,11 @@ func QuickStreamBench() StreamBenchOptions {
 }
 
 // DefaultStreamBench returns the acceptance-scale options: every scenario's
-// domain is at least 8192 cells.
+// domain is at least 8192 cells, and the 512×512 and 1024×1024 grids are
+// past the sharding threshold.
 func DefaultStreamBench() StreamBenchOptions {
 	return StreamBenchOptions{Seed: 1, Batches: 20, BatchCells: 16,
-		TreeDomains: []int{8192, 16384}, GridSides: []int{96, 128}, Queries: 500}
+		TreeDomains: []int{8192, 16384}, GridSides: []int{96, 128, 512, 1024}, Queries: 500}
 }
 
 func (o StreamBenchOptions) normalize() StreamBenchOptions {
@@ -60,9 +62,9 @@ func (o StreamBenchOptions) normalize() StreamBenchOptions {
 // both maintained states answer the workload noiselessly and the experiment
 // fails if any answer pair drifts beyond 1e-9, so the benchmark doubles as
 // an equivalence check of the incremental maintenance — the check itself is
-// untimed. Tree scenarios stream uniform random cells; grid scenarios
-// stream append-mostly cells (the trailing rows), the regime the suffix-box
-// summed-area patching targets.
+// untimed. Every scenario streams uniform random cells. Grid rows past
+// sparse.DefaultShardCells are labeled "sharded": their recompile baseline
+// and dense fallback run the blocked truth operator.
 func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 	o = o.normalize()
 	t := &eval.Table{
@@ -76,7 +78,7 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 		pol := blowfish.LinePolicy(k)
 		w := blowfish.RandomRanges1D(k, o.Queries, src.Split())
 		label := fmt.Sprintf("tree k=%d", k)
-		if err := runStreamScenario(t, label, pol, w, k, o, src, nil); err != nil {
+		if err := runStreamScenario(t, label, pol, w, k, o, src); err != nil {
 			return nil, err
 		}
 	}
@@ -85,16 +87,10 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 		pol := blowfish.GridPolicy(side)
 		w := blowfish.RandomRangesKd([]int{side, side}, o.Queries, src.Split())
 		label := fmt.Sprintf("grid %dx%d (k=%d)", side, side, k)
-		// Append-mostly cells: the trailing 4 rows of the map, where a
-		// summed-area patch touches only the small trailing suffix box.
-		recent := func(r *blowfish.Source) int {
-			rows := 4
-			if rows > side {
-				rows = side
-			}
-			return k - 1 - r.Intn(rows*side)
+		if k > sparse.DefaultShardCells {
+			label = fmt.Sprintf("grid %dx%d (k=%d, sharded)", side, side, k)
 		}
-		if err := runStreamScenario(t, label, pol, w, k, o, src, recent); err != nil {
+		if err := runStreamScenario(t, label, pol, w, k, o, src); err != nil {
 			return nil, err
 		}
 	}
@@ -103,9 +99,8 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 
 // runStreamScenario streams o.Batches delta batches through one policy/
 // workload pair, timing both maintenance paths and appending a table row.
-// cellFn picks delta cells (nil = uniform over the domain).
 func runStreamScenario(t *eval.Table, label string, pol *blowfish.Policy, w *blowfish.Workload,
-	k int, o StreamBenchOptions, src *blowfish.Source, cellFn func(*blowfish.Source) int) error {
+	k int, o StreamBenchOptions, src *blowfish.Source) error {
 	const eps = 1.0
 	ctx := context.Background()
 	cells := src.Split()
@@ -134,11 +129,7 @@ func runStreamScenario(t *eval.Table, label string, pol *blowfish.Policy, w *blo
 			Values: make([]float64, o.BatchCells),
 		}
 		for i := range d.Cells {
-			if cellFn != nil {
-				d.Cells[i] = cellFn(cells)
-			} else {
-				d.Cells[i] = cells.Intn(k)
-			}
+			d.Cells[i] = cells.Intn(k)
 			d.Values[i] = math.Floor(cells.Uniform()*5) + 1
 		}
 		// Incremental: patch the maintained strategy state in place.

@@ -8,7 +8,6 @@ import (
 	"github.com/privacylab/blowfish/internal/noise"
 	"github.com/privacylab/blowfish/internal/par"
 	"github.com/privacylab/blowfish/internal/sparse"
-	"github.com/privacylab/blowfish/internal/workload"
 )
 
 // TestShardBlocks pins the tiling contract: contiguous ascending blocks,
@@ -202,79 +201,5 @@ func TestBlockedOperatorValidation(t *testing.T) {
 	// Sub-operator rows must match the declared rows (ident gives b.Hi-b.Lo).
 	if _, err := sparse.NewBlockedOperator(4, 4, []par.Block{{Lo: 0, Hi: 2}, {Lo: 2, Hi: 4}}, build, nil); err == nil {
 		t.Fatal("want error for sub-operator shape mismatch")
-	}
-}
-
-// TestSATStateBlocked checks the blocked table layout: per-slab tables equal
-// workload.SummedAreaTable over each slab's sub-grid bitwise, PointAdd stays
-// within the owning slab and agrees with a recompute, and PointAddCost is
-// capped by the slab volume.
-func TestSATStateBlocked(t *testing.T) {
-	src := noise.NewSource(29)
-	dims := []int{13, 7} // 13 rows: non-divisible by every tested slab height
-	k := 13 * 7
-	x := make([]float64, k)
-	for i := range x {
-		x[i] = src.Uniform()*6 - 3
-	}
-	for _, blockRows := range []int{1, 4, 5, 13, 0} {
-		st, err := sparse.NewSATStateBlocked(dims, x, blockRows, nil)
-		if err != nil {
-			t.Fatalf("blockRows=%d: %v", blockRows, err)
-		}
-		wantRows := blockRows
-		if blockRows <= 0 || blockRows > dims[0] {
-			wantRows = dims[0]
-		}
-		if st.BlockRows() != wantRows {
-			t.Fatalf("blockRows=%d: BlockRows() = %d, want %d", blockRows, st.BlockRows(), wantRows)
-		}
-		wantSlabs := (dims[0] + wantRows - 1) / wantRows
-		if st.NumSlabs() != wantSlabs {
-			t.Fatalf("blockRows=%d: NumSlabs() = %d, want %d", blockRows, st.NumSlabs(), wantSlabs)
-		}
-		table := st.Table()
-		for i := 0; i < st.NumSlabs(); i++ {
-			lo, hi := st.SlabRange(i)
-			slabDims := []int{hi - lo, dims[1]}
-			want := workload.SummedAreaTable(slabDims, x[lo*dims[1]:hi*dims[1]])
-			got := table[lo*dims[1] : hi*dims[1]]
-			for j := range want {
-				if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
-					t.Fatalf("blockRows=%d slab %d: table[%d] = %v, want %v (bitwise)", blockRows, i, j, got[j], want[j])
-				}
-			}
-		}
-		// PointAddCost is bounded by the owning slab's volume.
-		for cell := 0; cell < k; cell++ {
-			lo, hi := st.SlabRange((cell / dims[1]) / st.BlockRows())
-			if cost := st.PointAddCost(cell); cost > (hi-lo)*dims[1] {
-				t.Fatalf("blockRows=%d: cost(%d) = %d exceeds slab volume %d", blockRows, cell, cost, (hi-lo)*dims[1])
-			}
-		}
-		// Patch path ≡ rebuild path.
-		xs := append([]float64(nil), x...)
-		for step := 0; step < 100; step++ {
-			cell := src.Intn(k)
-			delta := src.Uniform()*4 - 2
-			xs[cell] += delta
-			st.PointAdd(cell, delta)
-		}
-		ref, err := sparse.NewSATStateBlocked(dims, xs, blockRows, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range table {
-			if math.Abs(table[i]-ref.Table()[i]) > 1e-9 {
-				t.Fatalf("blockRows=%d: patched table[%d] = %v, want %v", blockRows, i, table[i], ref.Table()[i])
-			}
-		}
-		// Recompute restores bitwise agreement with a fresh build.
-		st.Recompute(xs)
-		for i := range table {
-			if math.Float64bits(table[i]) != math.Float64bits(ref.Table()[i]) {
-				t.Fatalf("blockRows=%d after Recompute: table[%d] differs", blockRows, i)
-			}
-		}
 	}
 }

@@ -1,6 +1,5 @@
 // Package sparse provides the linear-operator layer behind the answer hot
-// path: CSR matrices, the Operator abstraction, domain sharding, and the
-// incremental summed-area state used by streams.
+// path: CSR matrices, the Operator abstraction, and domain sharding.
 //
 // The strategy matrices of the transformational equivalence — P_G for policy
 // graphs, per-query reconstruction rows, workload transforms over tree/grid
@@ -13,7 +12,7 @@
 // tables, Lanczos matvec sources in spectral.go) implement Operator directly
 // and never materialize a matrix.
 //
-// Three pieces serve domains past ~10⁶ cells:
+// Two pieces serve domains past ~10⁶ cells:
 //
 //   - ShardBlocks/ConcatRows partition a domain (or a query list) into
 //     contiguous blocks and reassemble per-block CSR shards into one
@@ -24,10 +23,6 @@
 //     reduces them serially in ascending block order, so outputs are bitwise
 //     independent of the worker count (and of GOMAXPROCS). DefaultShardCells
 //     is the auto-shard threshold the compile layer consults.
-//   - SATState maintains summed-area/prefix tables incrementally for
-//     streams; NewSATStateBlocked keeps one table per row-slab so a point
-//     delta patches at most one slab (o(k)) instead of a full suffix box,
-//     with a cost-capped dense recompute fallback per slab.
 package sparse
 
 import (

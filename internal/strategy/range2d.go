@@ -150,7 +150,7 @@ func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *worklo
 		rects[i], boxes[i] = rq, box
 	}
 	compilations.Add(1)
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+	truth, err := gridTruth(dims, rects, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -174,7 +174,7 @@ func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *worklo
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -235,7 +235,7 @@ func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Wor
 		}
 	}
 	compilations.Add(1)
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+	truth, err := gridTruth(dims, rects, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -261,7 +261,7 @@ func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Wor
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -150,7 +150,7 @@ func CompileGridRangeKd(name string, dims []int, w *workload.Workload, cfg Confi
 		rects[i] = rq
 	}
 	compilations.Add(1)
-	truth, evalFn, blockRows, err := gridTruth(dims, rects, cfg)
+	truth, err := gridTruth(dims, rects, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +171,7 @@ func CompileGridRangeKd(name string, dims []int, w *workload.Workload, cfg Confi
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := satRefresh(name, w, dims, blockRows, cfg.Pool, evalFn, noiseInto)
+	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

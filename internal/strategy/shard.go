@@ -12,12 +12,11 @@ import (
 // dim-0 slabs: each slab gets the queries clipped to it, the per-slab
 // sub-operators are compile work items fanned out over the shared pool, and
 // reconstruction becomes a sparse.BlockedOperator that evaluates slab
-// partials in parallel and reduces them in ascending slab order. The
-// streaming state mirrors the same partition — a blocked sparse.SATState
-// maintains one table per slab, so Stream.Apply patches stop at slab
-// boundaries (o(k) per delta at any update position) and the stream
-// evaluator reads exactly the clipped rectangles the blocked truth operator
-// reads, keeping stream answers bitwise identical to static sharded answers.
+// partials in parallel and reduces them in ascending slab order. Streams
+// need no slab layout of their own: they maintain the answer vector W·x
+// (see stream.go), whose patches never touch the domain, and rebuild it
+// through this same blocked operator, so a recomputed stream answers
+// bitwise identically to the static sharded path.
 //
 // Tree compiles shard differently: their reconstruction is a CSR whose rows
 // accumulate in support-discovery order, so reassociating columns would
@@ -73,38 +72,30 @@ func (c Config) pool() *par.Pool {
 }
 
 // gridTruth resolves the truth side of a grid compile under cfg: the
-// workload-evaluation operator, the stream evaluator reading a maintained
-// table, and the blocked table layout (slab rows; 0 = unblocked). Below the
-// sharding threshold it returns the classic monolithic rangeKdOp and global
-// evaluator, byte-for-byte the pre-sharding path.
-func gridTruth(dims []int, rects []workload.RangeKd, cfg Config) (sparse.Operator, func(table []float64) []float64, int, error) {
+// workload-evaluation operator. Below the sharding threshold it is the
+// classic monolithic rangeKdOp, byte-for-byte the pre-sharding path.
+func gridTruth(dims []int, rects []workload.RangeKd, cfg Config) (sparse.Operator, error) {
 	if shard := newGridShard(dims, rects, cfg); shard != nil {
-		op, err := shard.operator()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return op, shard.eval, shard.blockRows, nil
+		return shard.operator()
 	}
 	k := 1
 	for _, d := range dims {
 		k *= d
 	}
-	return &rangeKdOp{dims: dims, k: k, rects: rects}, evalRects(dims, rects), 0, nil
+	return &rangeKdOp{dims: dims, k: k, rects: rects}, nil
 }
 
 // gridShard is the compiled shard artifact for one (dims, rects) grid
 // workload: the slab partition plus, per slab, the queries intersecting it
 // with their rectangles clipped to slab-local coordinates.
 type gridShard struct {
-	dims      []int
-	k         int
-	queries   int
-	blockRows int                  // slab height in dim-0 rows
-	blocks    []par.Block          // cell ranges, ascending, tiling [0, k)
-	slabDims  [][]int              // per slab: {slab rows, dims[1:]...}
-	qidx      [][]int              // per slab: workload query index per clipped rect
-	rects     [][]workload.RangeKd // per slab: clipped, slab-local rects
-	pool      *par.Pool
+	k        int
+	queries  int
+	blocks   []par.Block          // cell ranges, ascending, tiling [0, k)
+	slabDims [][]int              // per slab: {slab rows, dims[1:]...}
+	qidx     [][]int              // per slab: workload query index per clipped rect
+	rects    [][]workload.RangeKd // per slab: clipped, slab-local rects
+	pool     *par.Pool
 }
 
 // newGridShard builds the shard artifact, or nil when the configuration
@@ -126,15 +117,13 @@ func newGridShard(dims []int, rects []workload.RangeKd, cfg Config) *gridShard {
 		return nil
 	}
 	g := &gridShard{
-		dims:      append([]int(nil), dims...),
-		k:         k,
-		queries:   len(rects),
-		blockRows: (blocks[0].Hi - blocks[0].Lo) / inner,
-		blocks:    blocks,
-		slabDims:  make([][]int, len(blocks)),
-		qidx:      make([][]int, len(blocks)),
-		rects:     make([][]workload.RangeKd, len(blocks)),
-		pool:      cfg.pool(),
+		k:        k,
+		queries:  len(rects),
+		blocks:   blocks,
+		slabDims: make([][]int, len(blocks)),
+		qidx:     make([][]int, len(blocks)),
+		rects:    make([][]workload.RangeKd, len(blocks)),
+		pool:     cfg.pool(),
 	}
 	g.pool.Do(par.Workers(0), len(blocks), func(i int) {
 		lo0 := blocks[i].Lo / inner
@@ -173,21 +162,6 @@ func (g *gridShard) operator() (sparse.Operator, error) {
 		return &slabRangeOp{dims: g.slabDims[i], cells: b.Hi - b.Lo, queries: g.queries,
 			qidx: g.qidx[i], rects: g.rects[i]}, nil
 	}, g.pool)
-}
-
-// eval answers the workload off a blocked SATState table (per-slab tables
-// concatenated at their row-major offsets): the same clipped corner reads,
-// in the same ascending slab order, as the blocked truth operator — so a
-// recomputed stream answers bitwise identically to the static sharded path.
-func (g *gridShard) eval(table []float64) []float64 {
-	out := make([]float64, g.queries)
-	for i, b := range g.blocks {
-		slab := table[b.Lo:b.Hi]
-		for j, rq := range g.rects[i] {
-			out[g.qidx[i][j]] += workload.EvalRangeKd(g.slabDims[i], slab, rq)
-		}
-	}
-	return out
 }
 
 // slabRangeOp evaluates one slab's clipped rectangles: Apply builds the

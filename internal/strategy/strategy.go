@@ -23,9 +23,9 @@
 //
 // stream.go is the incremental side: a compiled strategy exposes refresh
 // hooks that fold Delta batches into maintained state (root-path patches on
-// tree transforms, slab-capped summed-area patches via sparse.SATState)
-// with a cost-capped dense rebuild fallback, which is what Engine.OpenStream
-// builds on.
+// tree transforms, per-query patches of the exact answer vector W·x for
+// range strategies) with a cost-capped dense rebuild fallback, which is what
+// Engine.OpenStream builds on.
 package strategy
 
 import (

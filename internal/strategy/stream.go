@@ -5,7 +5,7 @@ import (
 
 	"github.com/privacylab/blowfish/internal/core"
 	"github.com/privacylab/blowfish/internal/noise"
-	"github.com/privacylab/blowfish/internal/par"
+	"github.com/privacylab/blowfish/internal/policy"
 	"github.com/privacylab/blowfish/internal/sparse"
 	"github.com/privacylab/blowfish/internal/workload"
 )
@@ -13,7 +13,7 @@ import (
 // This file is the incremental-maintenance side of the compile/run split: a
 // State binds a compiled strategy to one mutable histogram and keeps the
 // strategy's data-side artifacts (the subtree-sum vector x_G for tree
-// strategies, the summed-area / prefix table for grid strategies) patched
+// strategies, the exact answer vector W·x for range strategies) patched
 // under single-cell deltas instead of rebuilding them per release.
 //
 // Correctness never depends on the fast path: Recompute rebuilds every
@@ -120,7 +120,7 @@ func (s *State) Recompute() {
 
 // Answer releases the compiled workload off the maintained state at budget
 // eps — the same noise-and-reconstruct hot path as Prepared.Answer minus
-// the per-release x_G / summed-area rebuild.
+// the per-release x_G / W·x rebuild.
 func (s *State) Answer(eps float64, src *noise.Source) ([]float64, error) {
 	return s.m.answer(eps, src)
 }
@@ -227,75 +227,87 @@ func (t *treeState) answer(eps float64, src *noise.Source) ([]float64, error) {
 	return out, nil
 }
 
-// satState maintains the exact-truth side of the grid strategies: the
-// inclusive prefix-sum (summed-area) table the range evaluators read.
-// eval answers every workload query off the maintained table; noise is the
-// strategy's per-release oracle pass, shared verbatim with the static
-// answer closure so the two paths cannot drift.
-type satState struct {
-	sat   *sparse.SATState
-	eval  func(table []float64) []float64
+// answerState maintains the exact-truth side of the range strategies (the
+// 2-D/k-D grids, the θ-grid, and the θ-line with 1-D ranges as 1-D boxes):
+// y = W·x, one exact answer per compiled query. Every release is y plus the
+// strategy's signed oracle noise, so y is all the data-side state a stream
+// needs. A cell delta adds to every query box containing the cell — O(q·d),
+// independent of k and of where the cell lies. recompute is the static truth
+// operator verbatim, so a recomputed stream answers bitwise like the static
+// path, sharded or not; noise is the per-release oracle pass, shared with
+// the static answer closure so the two paths cannot drift.
+type answerState struct {
+	truth sparse.Operator
+	dims  []int     // row-major grid the boxes live on; {k} for 1-D ranges
+	boxes []int     // per query: lo0, hi0, lo1, hi1, ... (inclusive)
+	coord []int     // update scratch: the unranked cell
+	y     []float64 // exact answers
 	noise func(out []float64, eps float64, src *noise.Source)
 }
 
-func (g *satState) update(cell int, delta float64) { g.sat.PointAdd(cell, delta) }
+func (a *answerState) update(cell int, delta float64) {
+	policy.Unrank(a.dims, cell, a.coord)
+	width := 2 * len(a.dims)
+	for i := range a.y {
+		box := a.boxes[i*width : (i+1)*width]
+		inside := true
+		for t, c := range a.coord {
+			if c < box[2*t] || c > box[2*t+1] {
+				inside = false
+				break
+			}
+		}
+		if inside {
+			a.y[i] += delta
+		}
+	}
+}
 
-func (g *satState) updateCost(cell int) int { return g.sat.PointAddCost(cell) }
+func (a *answerState) updateCost(int) int { return len(a.y) }
 
-func (g *satState) recompute(x []float64) { g.sat.Recompute(x) }
+func (a *answerState) recompute(x []float64) { a.truth.Apply(a.y, x) }
 
-func (g *satState) exportState() []float64 { return g.sat.Export() }
+func (a *answerState) exportState() []float64 { return append([]float64(nil), a.y...) }
 
-func (g *satState) importState(artifacts []float64) error { return g.sat.Restore(artifacts) }
+func (a *answerState) importState(artifacts []float64) error {
+	if len(artifacts) != len(a.y) {
+		return fmt.Errorf("answer artifacts have %d entries, want %d", len(artifacts), len(a.y))
+	}
+	copy(a.y, artifacts)
+	return nil
+}
 
-func (g *satState) answer(eps float64, src *noise.Source) ([]float64, error) {
-	out := g.eval(g.sat.Table())
-	g.noise(out, eps, src)
+func (a *answerState) answer(eps float64, src *noise.Source) ([]float64, error) {
+	out := append([]float64(nil), a.y...)
+	a.noise(out, eps, src)
 	return out, nil
 }
 
-// satRefresh builds the Refresh hook shared by every summed-area-backed
-// strategy (the 2-D/k-D grids, the θ-grid, and — with dims = {k} — the 1-D
-// prefix-sum strategies, whose table accumulation is bitwise identical to
-// workload.PrefixSums). blockRows > 0 selects the blocked per-slab table
-// layout matching a sharded compile (see shard.go): the eval closure must
-// then read slab tables, and PointAdd patches stop at slab boundaries so
-// Stream.Apply stays o(k) per delta. blockRows = 0 is the classic global
-// table.
-func satRefresh(name string, w *workload.Workload, dims []int, blockRows int, pool *par.Pool,
-	eval func(table []float64) []float64,
+// answerRefresh builds the Refresh hook shared by every answer-vector
+// strategy. truth is the compiled workload operator the static path applies;
+// boxes holds the same queries as inclusive boxes over dims, laid out as
+// answerState.boxes. Boxes are tested against the strategy's own dims,
+// never through workload.Query.Coeff: a RangeKd built without Dims has no
+// grid to unrank against.
+func answerRefresh(name string, w *workload.Workload, dims, boxes []int, truth sparse.Operator,
 	noiseInto func(out []float64, eps float64, src *noise.Source)) func(x []float64) (*State, error) {
 	return func(x []float64) (*State, error) {
 		if err := checkDomain(w, x); err != nil {
 			return nil, err
 		}
-		sat, err := sparse.NewSATStateBlocked(dims, x, blockRows, pool)
-		if err != nil {
-			return nil, err
-		}
-		return newState(name, x, &satState{sat: sat, eval: eval, noise: noiseInto}, w.K), nil
+		a := &answerState{truth: truth, dims: dims, boxes: boxes, coord: make([]int, len(dims)),
+			y: make([]float64, w.Len()), noise: noiseInto}
+		return newState(name, x, a, w.K), nil
 	}
 }
 
-// evalRects answers a fixed rectangle workload off a maintained table —
-// the same reads rangeKdOp.Apply performs on its per-release table.
-func evalRects(dims []int, rects []workload.RangeKd) func(table []float64) []float64 {
-	return func(table []float64) []float64 {
-		out := make([]float64, len(rects))
-		for i, rq := range rects {
-			out[i] = workload.EvalRangeKd(dims, table, rq)
+// rectBoxes lays rectangle queries out as answerState boxes.
+func rectBoxes(rects []workload.RangeKd) []int {
+	var boxes []int
+	for _, rq := range rects {
+		for t := range rq.Lo {
+			boxes = append(boxes, rq.Lo[t], rq.Hi[t])
 		}
-		return out
 	}
-}
-
-// evalRanges is the 1-D specialization reading prefix sums.
-func evalRanges(ranges []workload.Range1D) func(table []float64) []float64 {
-	return func(table []float64) []float64 {
-		out := make([]float64, len(ranges))
-		for i, r := range ranges {
-			out[i] = workload.EvalRange1D(table, r)
-		}
-		return out
-	}
+	return boxes
 }

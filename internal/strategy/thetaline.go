@@ -180,11 +180,14 @@ func CompileThetaLineGrouped(name string, k, theta int, kind mech.OracleKind, w 
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	// The 1-D prefix table is the dims = {k} summed-area table: the same
-	// left-to-right accumulation as workload.PrefixSums, bitwise. This
-	// strategy stays unsharded — θ-line domains route through the tree
-	// compile past the sharding threshold (see engine dispatch).
-	refresh := satRefresh(name, w, []int{w.K}, 0, nil, evalRanges(ranges), noiseInto)
+	// 1-D ranges are 1-D boxes. This strategy stays unsharded — θ-line
+	// domains route through the tree compile past the sharding threshold
+	// (see engine dispatch).
+	boxes := make([]int, 0, 2*len(ranges))
+	for _, r := range ranges {
+		boxes = append(boxes, r.L, r.R)
+	}
+	refresh := answerRefresh(name, w, []int{w.K}, boxes, truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -12,8 +12,8 @@ import (
 // only how work is partitioned, never what is answered. On integer count
 // histograms every slab accumulation is exact, so sharded and unsharded
 // engines must agree bitwise at any block size; streams opened on a sharded
-// plan maintain per-slab tables and must stay consistent under concurrent
-// Apply/Answer (the -race leg exercises the blocked SAT locking).
+// plan recompute through the blocked operator and must stay consistent under
+// concurrent Apply/Answer (the -race leg exercises the stream locking).
 
 // TestEngineShardBlockMatchesUnsharded opens the same policy with sharding
 // forced at several block sizes and disabled, and checks plans and streams
@@ -93,7 +93,7 @@ func TestEngineShardBlockMatchesUnsharded(t *testing.T) {
 
 // TestStreamConcurrentApplyBlockedSAT races concurrent Apply batches against
 // concurrent answers on a stream whose plan was compiled with forced
-// sharding, so the maintained state is the blocked per-slab SAT. Every batch
+// sharding, so every dense fallback runs the blocked operator. Every batch
 // adds +1 to an entire grid row; a consistent prefix means every full-row
 // range query over the same rows reports the same count.
 func TestStreamConcurrentApplyBlockedSAT(t *testing.T) {
@@ -133,13 +133,13 @@ func TestStreamConcurrentApplyBlockedSAT(t *testing.T) {
 			defer wg.Done()
 			for b := 0; b < batches; b++ {
 				// Alternate full-domain batches (dense fallback, parallel
-				// slab recompute) with single-cell patches (blocked PointAdd).
+				// slab recompute) with small patched batches.
 				if err := st.Apply(Delta{Cells: allCells, Values: ones}); err != nil {
 					errs <- err
 					return
 				}
 				// A canceling pair within one row: row sums are invariant,
-				// but the patch exercises blocked PointAdd concurrently.
+				// but the patch exercises the answer patch concurrently.
 				c1 := b % p.K
 				c2 := (c1/side)*side + (c1+1)%side
 				if err := st.Apply(Delta{Cells: []int{c1, c2}, Values: []float64{1, -1}}); err != nil {

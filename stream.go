@@ -28,12 +28,12 @@ type StreamOptions struct {
 
 // Stream binds a compiled Plan to one mutable database. Apply folds deltas
 // into the strategy's maintained state incrementally — O(path depth) per
-// cell for subtree-sum strategies, O(dirty suffix box) for summed-area /
-// prefix strategies — with a dense-recompute fallback whenever patching
-// would cost more than a rebuild, so answers never depend on the fast path
-// for correctness. A Stream is safe for concurrent use: Apply/Release take
-// the write lock, Answer the read lock, so every answer reflects a
-// consistent prefix of the applied deltas.
+// cell for subtree-sum strategies, O(queries) per cell for range strategies,
+// which maintain the workload's exact answers — with a dense-recompute
+// fallback whenever patching would cost more than a rebuild, so answers
+// never depend on the fast path for correctness. A Stream is safe for
+// concurrent use: Apply/Release take the write lock, Answer the read lock,
+// so every answer reflects a consistent prefix of the applied deltas.
 type Stream struct {
 	mu   sync.RWMutex
 	pl   *Plan
