@@ -87,10 +87,6 @@ func DecodeSnapshot(b []byte) ([]byte, error) {
 	if string(b[:6]) != snapMagic[:6] {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrCorruptSnapshot, b[:6])
 	}
-	if string(b[6:8]) == "01" {
-		return nil, fmt.Errorf("%w: snapshot version \"01\" was written by an older daemon whose grid and θ-line streams hold summed-area tables, not answers (want version %q)",
-			ErrCorruptSnapshot, snapMagic[6:8])
-	}
 	if string(b[6:8]) != snapMagic[6:8] {
 		return nil, fmt.Errorf("%w: unsupported snapshot version %q (want %q)", ErrCorruptSnapshot, b[6:8], snapMagic[6:8])
 	}

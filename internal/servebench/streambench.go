@@ -62,9 +62,10 @@ func (o StreamBenchOptions) normalize() StreamBenchOptions {
 // both maintained states answer the workload noiselessly and the experiment
 // fails if any answer pair drifts beyond 1e-9, so the benchmark doubles as
 // an equivalence check of the incremental maintenance — the check itself is
-// untimed. Every scenario streams uniform random cells. Grid rows past
-// sparse.DefaultShardCells are labeled "sharded": their recompile baseline
-// and dense fallback run the blocked truth operator.
+// untimed. Tree scenarios stream uniform random cells; grid scenarios up to
+// sparse.DefaultShardCells stream append-mostly cells (the trailing rows).
+// Grid rows past that threshold are labeled "sharded" (their recompile
+// baseline runs the blocked truth operator) and stream uniform cells.
 func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 	o = o.normalize()
 	t := &eval.Table{
@@ -78,7 +79,7 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 		pol := blowfish.LinePolicy(k)
 		w := blowfish.RandomRanges1D(k, o.Queries, src.Split())
 		label := fmt.Sprintf("tree k=%d", k)
-		if err := runStreamScenario(t, label, pol, w, k, o, src); err != nil {
+		if err := runStreamScenario(t, label, pol, w, k, o, src, nil); err != nil {
 			return nil, err
 		}
 	}
@@ -87,10 +88,19 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 		pol := blowfish.GridPolicy(side)
 		w := blowfish.RandomRangesKd([]int{side, side}, o.Queries, src.Split())
 		label := fmt.Sprintf("grid %dx%d (k=%d)", side, side, k)
+		// Append-mostly cells: the trailing 4 rows of the map.
+		recent := func(r *blowfish.Source) int {
+			rows := 4
+			if rows > side {
+				rows = side
+			}
+			return k - 1 - r.Intn(rows*side)
+		}
 		if k > sparse.DefaultShardCells {
 			label = fmt.Sprintf("grid %dx%d (k=%d, sharded)", side, side, k)
+			recent = nil
 		}
-		if err := runStreamScenario(t, label, pol, w, k, o, src); err != nil {
+		if err := runStreamScenario(t, label, pol, w, k, o, src, recent); err != nil {
 			return nil, err
 		}
 	}
@@ -99,8 +109,9 @@ func StreamExperiment(o StreamBenchOptions) (*eval.Table, error) {
 
 // runStreamScenario streams o.Batches delta batches through one policy/
 // workload pair, timing both maintenance paths and appending a table row.
+// cellFn picks delta cells (nil = uniform over the domain).
 func runStreamScenario(t *eval.Table, label string, pol *blowfish.Policy, w *blowfish.Workload,
-	k int, o StreamBenchOptions, src *blowfish.Source) error {
+	k int, o StreamBenchOptions, src *blowfish.Source, cellFn func(*blowfish.Source) int) error {
 	const eps = 1.0
 	ctx := context.Background()
 	cells := src.Split()
@@ -129,7 +140,11 @@ func runStreamScenario(t *eval.Table, label string, pol *blowfish.Policy, w *blo
 			Values: make([]float64, o.BatchCells),
 		}
 		for i := range d.Cells {
-			d.Cells[i] = cells.Intn(k)
+			if cellFn != nil {
+				d.Cells[i] = cellFn(cells)
+			} else {
+				d.Cells[i] = cells.Intn(k)
+			}
 			d.Values[i] = math.Floor(cells.Uniform()*5) + 1
 		}
 		// Incremental: patch the maintained strategy state in place.

@@ -174,7 +174,8 @@ func CompileGridRange2D(name string, dims []int, kind mech.OracleKind, w *worklo
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
+	lo, hi := rectBoxes(len(dims), rects)
+	refresh := answerRefresh(name, w, dims, lo, hi, truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -261,7 +261,8 @@ func CompileThetaGridRange2D(name string, dims []int, theta int, w *workload.Wor
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
+	lo, hi := rectBoxes(len(dims), rects)
+	refresh := answerRefresh(name, w, dims, lo, hi, truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

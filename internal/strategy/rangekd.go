@@ -171,7 +171,8 @@ func CompileGridRangeKd(name string, dims []int, w *workload.Workload, cfg Confi
 		noiseInto(out, eps, src)
 		return out, nil
 	}
-	refresh := answerRefresh(name, w, dims, rectBoxes(rects), truth, noiseInto)
+	lo, hi := rectBoxes(len(dims), rects)
+	refresh := answerRefresh(name, w, dims, lo, hi, truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -238,28 +238,42 @@ func (t *treeState) answer(eps float64, src *noise.Source) ([]float64, error) {
 // the static answer closure so the two paths cannot drift.
 type answerState struct {
 	truth sparse.Operator
-	dims  []int     // row-major grid the boxes live on; {k} for 1-D ranges
-	boxes []int     // per query: lo0, hi0, lo1, hi1, ... (inclusive)
+	dims  []int   // row-major grid the boxes live on; {k} for 1-D ranges
+	lo    [][]int // per dimension, per query: inclusive box bounds
+	hi    [][]int
 	coord []int     // update scratch: the unranked cell
+	miss  []int     // update scratch: per query, then the hit indices
 	y     []float64 // exact answers
 	noise func(out []float64, eps float64, src *noise.Source)
 }
 
 func (a *answerState) update(cell int, delta float64) {
 	policy.Unrank(a.dims, cell, a.coord)
-	width := 2 * len(a.dims)
-	for i := range a.y {
-		box := a.boxes[i*width : (i+1)*width]
-		inside := true
-		for t, c := range a.coord {
-			if c < box[2*t] || c > box[2*t+1] {
-				inside = false
-				break
+	// A box misses the cell iff some c-lo or hi-c is negative, so OR-ing
+	// them per query leaves the sign bit set exactly on misses. The scan is
+	// branch-free, one dimension at a time: random boxes defeat branch
+	// prediction, and this costs the same wherever the cell lies.
+	miss := a.miss
+	for t, c := range a.coord {
+		lo, hi := a.lo[t][:len(miss)], a.hi[t][:len(miss)]
+		if t == 0 {
+			for i := range miss {
+				miss[i] = (c - lo[i]) | (hi[i] - c)
 			}
+			continue
 		}
-		if inside {
-			a.y[i] += delta
+		for i := range miss {
+			miss[i] |= (c - lo[i]) | (hi[i] - c)
 		}
+	}
+	// Compact the hit indices in place (n never passes i), then add.
+	n := 0
+	for i, m := range miss {
+		miss[n] = i
+		n += int(uint(^m) >> 63)
+	}
+	for _, i := range miss[:n] {
+		a.y[i] += delta
 	}
 }
 
@@ -285,29 +299,31 @@ func (a *answerState) answer(eps float64, src *noise.Source) ([]float64, error) 
 
 // answerRefresh builds the Refresh hook shared by every answer-vector
 // strategy. truth is the compiled workload operator the static path applies;
-// boxes holds the same queries as inclusive boxes over dims, laid out as
-// answerState.boxes. Boxes are tested against the strategy's own dims,
-// never through workload.Query.Coeff: a RangeKd built without Dims has no
-// grid to unrank against.
-func answerRefresh(name string, w *workload.Workload, dims, boxes []int, truth sparse.Operator,
+// lo and hi hold the same queries as inclusive boxes over dims, laid out as
+// in answerState. Boxes are tested against the strategy's own dims, never
+// through workload.Query.Coeff: a RangeKd built without Dims has no grid to
+// unrank against.
+func answerRefresh(name string, w *workload.Workload, dims []int, lo, hi [][]int, truth sparse.Operator,
 	noiseInto func(out []float64, eps float64, src *noise.Source)) func(x []float64) (*State, error) {
 	return func(x []float64) (*State, error) {
 		if err := checkDomain(w, x); err != nil {
 			return nil, err
 		}
-		a := &answerState{truth: truth, dims: dims, boxes: boxes, coord: make([]int, len(dims)),
-			y: make([]float64, w.Len()), noise: noiseInto}
+		a := &answerState{truth: truth, dims: dims, lo: lo, hi: hi, coord: make([]int, len(dims)),
+			miss: make([]int, w.Len()), y: make([]float64, w.Len()), noise: noiseInto}
 		return newState(name, x, a, w.K), nil
 	}
 }
 
-// rectBoxes lays rectangle queries out as answerState boxes.
-func rectBoxes(rects []workload.RangeKd) []int {
-	var boxes []int
-	for _, rq := range rects {
-		for t := range rq.Lo {
-			boxes = append(boxes, rq.Lo[t], rq.Hi[t])
+// rectBoxes lays rectangle queries over a d-dimensional grid out as
+// answerState bounds.
+func rectBoxes(d int, rects []workload.RangeKd) (lo, hi [][]int) {
+	lo, hi = make([][]int, d), make([][]int, d)
+	for t := 0; t < d; t++ {
+		lo[t], hi[t] = make([]int, len(rects)), make([]int, len(rects))
+		for i, rq := range rects {
+			lo[t][i], hi[t][i] = rq.Lo[t], rq.Hi[t]
 		}
 	}
-	return boxes
+	return lo, hi
 }

@@ -183,11 +183,11 @@ func CompileThetaLineGrouped(name string, k, theta int, kind mech.OracleKind, w 
 	// 1-D ranges are 1-D boxes. This strategy stays unsharded — θ-line
 	// domains route through the tree compile past the sharding threshold
 	// (see engine dispatch).
-	boxes := make([]int, 0, 2*len(ranges))
-	for _, r := range ranges {
-		boxes = append(boxes, r.L, r.R)
+	lo, hi := make([]int, len(ranges)), make([]int, len(ranges))
+	for i, r := range ranges {
+		lo[i], hi[i] = r.L, r.R
 	}
-	refresh := answerRefresh(name, w, []int{w.K}, boxes, truth, noiseInto)
+	refresh := answerRefresh(name, w, []int{w.K}, [][]int{lo}, [][]int{hi}, truth, noiseInto)
 	return &Prepared{Name: name, answer: answer, op: truth, refresh: refresh}, nil
 }
 

@@ -164,7 +164,10 @@ func (s *Stream) ExportState() *StreamState {
 // the exported stream stood; in continual mode the ledger counters and the
 // already-noised closed nodes are restored as-is, so recovery never
 // re-noises a node or resets the epoch horizon. Shape mismatches are
-// corruption signals and fail without partial state.
+// corruption signals and fail without partial state. Range plans' artifacts
+// are their exact answers; a state from a version that exported a
+// summed-area table there must not be passed in (README has the upgrade
+// recipe).
 func (e *Engine) RestoreStream(pl *Plan, st *StreamState) (*Stream, error) {
 	if pl == nil || pl.eng != e {
 		return nil, fmt.Errorf("blowfish: plan was not prepared by this engine: %w", ErrInvalidOptions)

@@ -386,3 +386,58 @@ func applyEpoch(t *testing.T, st *Stream, e int) {
 		t.Fatalf("apply epoch %d: %v", e, err)
 	}
 }
+
+// TestRestoreStreamUpgradeRecipe pins the README's upgrade recipe for a
+// range-plan StreamState saved by a version that exported summed-area
+// artifacts: replacing Artifacts with a fresh OpenStream export over the
+// saved Database restores the stream, continual ledger included, exactly as
+// the current version would have exported it (integer counts, so the
+// patched answers carry no drift).
+func TestRestoreStreamUpgradeRecipe(t *testing.T) {
+	p := GridPolicy(6)
+	eng, err := Open(p, EngineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl, err := eng.Prepare(RandomRangesKd([]int{6, 6}, 40, NewSource(5)), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := eng.OpenStream(pl, make([]float64, p.K), StreamOptions{
+		Continual: &BudgetContinual{Epsilon: 2, Epochs: 8, Window: 4},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for e := 0; e < 3; e++ {
+		if err := st.Apply(Delta{Cells: []int{e * 7, 35 - e}, Values: []float64{float64(e + 1), 2}}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Release(NewSource(int64(e))); err != nil {
+			t.Fatalf("epoch %d: %v", e, err)
+		}
+	}
+	want, err := json.Marshal(st.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	saved := st.ExportState()
+	saved.Artifacts = make([]float64, len(saved.Artifacts)) // stale, same length
+	fresh, err := eng.OpenStream(pl, saved.Database, StreamOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	saved.Artifacts = fresh.ExportState().Artifacts
+	rec, err := eng.RestoreStream(pl, saved)
+	if err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	got, err := json.Marshal(rec.ExportState())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("upgraded state differs:\n got %s\nwant %s", got, want)
+	}
+}
